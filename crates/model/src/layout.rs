@@ -33,16 +33,12 @@ pub struct Layout {
 impl Layout {
     /// A layout from explicit per-video server lists.
     pub fn new(n_servers: usize, assignments: Vec<Vec<ServerId>>) -> Result<Self, ModelError> {
-        if assignments.is_empty() || n_servers == 0 {
-            return Err(ModelError::Empty);
-        }
-        let layout = Layout {
+        Self::check_assignments(n_servers, &assignments)?;
+        Ok(Layout {
             n_servers,
             assignments,
             redundancy: None,
-        };
-        layout.validate_structure()?;
-        Ok(layout)
+        })
     }
 
     /// A layout with an explicit per-video redundancy map. Coded videos
@@ -74,21 +70,28 @@ impl Layout {
         Ok(layout)
     }
 
-    /// Structural constraints independent of capacities: every video has
-    /// `1 ≤ r_i ≤ N` replicas (7), on known (bounds-checked) and pairwise
+    /// The structural checks [`Self::new`] runs, without building a
+    /// layout: a non-empty catalog and cluster, and every video with
+    /// `1 ≤ r_i ≤ N` replicas (7) on known (bounds-checked) and pairwise
     /// distinct servers (6).
-    fn validate_structure(&self) -> Result<(), ModelError> {
-        for (v, servers) in self.assignments.iter().enumerate() {
+    pub fn check_assignments(
+        n_servers: usize,
+        assignments: &[Vec<ServerId>],
+    ) -> Result<(), ModelError> {
+        if assignments.is_empty() || n_servers == 0 {
+            return Err(ModelError::Empty);
+        }
+        for (v, servers) in assignments.iter().enumerate() {
             let video = VideoId(v as u32);
-            if servers.is_empty() || servers.len() > self.n_servers {
+            if servers.is_empty() || servers.len() > n_servers {
                 return Err(ModelError::ReplicaCountOutOfRange {
                     video,
                     count: servers.len() as u32,
-                    servers: self.n_servers,
+                    servers: n_servers,
                 });
             }
             for (i, &s) in servers.iter().enumerate() {
-                if s.index() >= self.n_servers {
+                if s.index() >= n_servers {
                     return Err(ModelError::UnknownServer(s));
                 }
                 if servers[..i].contains(&s) {

@@ -56,7 +56,7 @@ pub mod slf;
 pub mod traits;
 
 pub use coded::place_coded;
-pub use incremental::IncrementalPlacement;
+pub use incremental::{IncrementalPlacement, IncrementalScratch};
 pub use round_robin::RoundRobinPlacement;
 pub use slf::SmallestLoadFirstPlacement;
 pub use traits::PlacementPolicy;

@@ -41,7 +41,7 @@ use crate::time::SimTime;
 use std::collections::BTreeSet;
 use vod_model::{Catalog, ClusterSpec, Layout, ModelError, ReplicationScheme, ServerId, VideoId};
 use vod_placement::traits::PlacementInput;
-use vod_placement::{IncrementalPlacement, PlacementPolicy};
+use vod_placement::{IncrementalPlacement, IncrementalScratch};
 
 /// Which policy layer a completed copy is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,10 +89,18 @@ pub(crate) struct ReplicaActuator {
     /// Servers holding a full replica (servable when up), per video, in
     /// round-robin dispatch order; copied replicas append at the end.
     holders: Vec<Vec<ServerId>>,
+    /// The inverse of `holders`: the videos each server holds, in
+    /// ascending id order — so the failure and recovery hooks visit a
+    /// server's videos in the same order a scan over all videos would.
+    held_by: Vec<Vec<u32>>,
     /// Current desired replica count per video. Initially the bound
     /// layout's degrees; the online controller moves these at run time.
     targets: Vec<u32>,
     video_bytes: Vec<u64>,
+    /// Largest per-holder byte size (at least 1): the replica-slot unit.
+    max_bytes: u64,
+    /// Whether every video stores the same bytes per holder.
+    uniform_bytes: bool,
     /// Per-server stored bytes, *including* reservations of in-flight
     /// copies (reserved at copy start so concurrent copies cannot
     /// oversubscribe storage — Eq. 4 holds throughout).
@@ -113,6 +121,8 @@ pub(crate) struct ReplicaActuator {
     /// model). Coded repair destinations respect the per-rack fragment
     /// bound `⌈(k+m) / n_racks⌉`.
     rack_of: Vec<u32>,
+    /// Racks in `rack_of` (highest rack id + 1; 0 = no rack bound).
+    n_racks: usize,
     /// In-flight copies per video.
     in_flight: Vec<u32>,
     /// Videos that may need a copy (lazily re-checked at pump time).
@@ -122,6 +132,13 @@ pub(crate) struct ReplicaActuator {
     planned: Vec<Vec<ServerId>>,
     copies: Vec<ActiveCopy>,
     seq: u64,
+    // Scratch reused across calls, so pumping and replanning allocate
+    // nothing once grown.
+    pump_vids: Vec<u32>,
+    pump_srcs: Vec<ServerId>,
+    replan_weights: Vec<f64>,
+    replan_caps: Vec<u64>,
+    placement: IncrementalScratch,
     // Metrics.
     bytes_copied: u64,
     copies_completed: u64,
@@ -172,9 +189,11 @@ impl ReplicaActuator {
             .collect();
         let any_coded = layout.any_coded();
         let mut used_bytes = vec![0u64; n];
+        let mut held_by = vec![Vec::new(); n];
         for (v, servers) in holders.iter().enumerate() {
             for &s in servers {
                 used_bytes[s.index()] += video_bytes[v];
+                held_by[s.index()].push(v as u32);
             }
         }
         ReplicaActuator {
@@ -183,10 +202,14 @@ impl ReplicaActuator {
             targets: holders.iter().map(|h| h.len() as u32).collect(),
             alive: holders.iter().map(|h| h.len() as u32).collect(),
             holders,
+            held_by,
+            max_bytes: video_bytes.iter().copied().max().unwrap_or(1).max(1),
+            uniform_bytes: video_bytes.windows(2).all(|w| w[0] == w[1]),
             video_bytes,
             min_live,
             any_coded,
             rack_of: Vec::new(),
+            n_racks: 0,
             used_bytes,
             capacity_bytes: cluster.servers().iter().map(|s| s.storage_bytes).collect(),
             up: vec![true; n],
@@ -196,6 +219,11 @@ impl ReplicaActuator {
             planned: vec![Vec::new(); m],
             copies: Vec::new(),
             seq: 0,
+            pump_vids: Vec::new(),
+            pump_srcs: Vec::new(),
+            replan_weights: Vec::new(),
+            replan_caps: Vec::new(),
+            placement: IncrementalScratch::default(),
             bytes_copied: 0,
             copies_completed: 0,
             drift_bytes_copied: 0,
@@ -230,6 +258,11 @@ impl ReplicaActuator {
     /// `rack_of[j]` is server `j`'s rack, `u32::MAX` marks an unracked
     /// server. An empty map (the default) disables the rack bound.
     pub fn set_rack_map(&mut self, rack_of: Vec<u32>) {
+        self.n_racks = rack_of
+            .iter()
+            .filter(|&&x| x != u32::MAX)
+            .max()
+            .map_or(0, |&x| x as usize + 1);
         self.rack_of = rack_of;
     }
 
@@ -280,8 +313,10 @@ impl ReplicaActuator {
     /// controller apportions targets under this Eq. 4 budget; per-server
     /// feasibility is enforced again at copy-start time.
     pub fn slot_budget(&self) -> u64 {
-        let max_bytes = self.video_bytes.iter().copied().max().unwrap_or(1).max(1);
-        self.capacity_bytes.iter().map(|&c| c / max_bytes).sum()
+        self.capacity_bytes
+            .iter()
+            .map(|&c| c / self.max_bytes)
+            .sum()
     }
 
     /// Bytes successfully copied on behalf of the online controller.
@@ -393,12 +428,11 @@ impl ReplicaActuator {
             self.down_count += 1;
         }
         self.abort_copies_touching(server, links, dispatcher);
-        for v in 0..self.holders.len() {
-            if self.holders[v].contains(&server) {
-                self.bump_alive(v, -1);
-                if self.alive[v] < self.targets[v] {
-                    self.pending.insert(v as u32);
-                }
+        for i in 0..self.held_by[server.index()].len() {
+            let v = self.held_by[server.index()][i] as usize;
+            self.bump_alive(v, -1);
+            if self.alive[v] < self.targets[v] {
+                self.pending.insert(v as u32);
             }
         }
         self.replan(weights);
@@ -423,10 +457,9 @@ impl ReplicaActuator {
             self.up[server.index()] = true;
             self.down_count -= 1;
         }
-        for v in 0..self.holders.len() {
-            if self.holders[v].contains(&server) {
-                self.bump_alive(v, 1);
-            }
+        for i in 0..self.held_by[server.index()].len() {
+            let v = self.held_by[server.index()][i] as usize;
+            self.bump_alive(v, 1);
         }
         let mut i = 0;
         while i < self.copies.len() {
@@ -463,6 +496,10 @@ impl ReplicaActuator {
                 break;
             };
             let s = self.holders[v].remove(pos);
+            let held = &mut self.held_by[s.index()];
+            if let Ok(at) = held.binary_search(&(v as u32)) {
+                held.remove(at);
+            }
             self.used_bytes[s.index()] -= self.video_bytes[v];
             self.bump_alive(v, -1);
             retired += 1;
@@ -524,6 +561,8 @@ impl ReplicaActuator {
     /// on survivors), and per-video weights are the caller's demand
     /// estimate (+1 so cold titles still place). On any placement error
     /// the plan stays empty and the pump falls back to a greedy choice.
+    /// The placement runs on the live content map in place, in
+    /// actuator-owned scratch, so a replan copies no layout.
     pub fn replan(&mut self, weights: &[u64]) {
         for p in &mut self.planned {
             p.clear();
@@ -538,50 +577,40 @@ impl ReplicaActuator {
         let Ok(scheme) = ReplicationScheme::new(counts) else {
             return;
         };
-        let w: Vec<f64> = (0..m)
-            .map(|v| weights.get(v).copied().unwrap_or(0) as f64 + 1.0)
-            .collect();
-        let mut held_slots = vec![0u64; self.n_servers];
-        let mut held_bytes = vec![0u64; self.n_servers];
-        for (v, servers) in self.holders.iter().enumerate() {
-            for &s in servers {
-                held_slots[s.index()] += 1;
-                held_bytes[s.index()] += self.video_bytes[v];
-            }
+        self.replan_weights.clear();
+        self.replan_weights
+            .extend((0..m).map(|v| weights.get(v).copied().unwrap_or(0) as f64 + 1.0));
+        self.replan_caps.clear();
+        for j in 0..self.n_servers {
+            let cap = if !self.up[j] {
+                // No additions on a dead server; its kept content is
+                // dropped by the keep phase and re-placed elsewhere.
+                0
+            } else if self.uniform_bytes {
+                self.capacity_bytes[j] / self.max_bytes
+            } else {
+                let held = &self.held_by[j];
+                let held_bytes: u64 = held.iter().map(|&v| self.video_bytes[v as usize]).sum();
+                held.len() as u64
+                    + self.capacity_bytes[j].saturating_sub(held_bytes) / self.max_bytes
+            };
+            self.replan_caps.push(cap);
         }
-        let uniform = self.video_bytes.windows(2).all(|w| w[0] == w[1]);
-        let max_bytes = self.video_bytes.iter().copied().max().unwrap_or(1).max(1);
-        let capacities: Vec<u64> = (0..self.n_servers)
-            .map(|j| {
-                if !self.up[j] {
-                    // No additions on a dead server; its kept content is
-                    // dropped by the keep phase and re-placed elsewhere.
-                    0
-                } else if uniform {
-                    self.capacity_bytes[j] / max_bytes
-                } else {
-                    held_slots[j] + self.capacity_bytes[j].saturating_sub(held_bytes[j]) / max_bytes
-                }
-            })
-            .collect();
-        let Ok(previous) = Layout::new(self.n_servers, self.holders.clone()) else {
-            return;
-        };
         let input = PlacementInput {
             scheme: &scheme,
-            weights: &w,
+            weights: &self.replan_weights,
             n_servers: self.n_servers,
-            capacities: &capacities,
+            capacities: &self.replan_caps,
         };
-        if let Ok(plan) = IncrementalPlacement::from_previous(previous).place(&input) {
-            for v in 0..m {
-                let vid = VideoId(v as u32);
-                self.planned[v] = plan
-                    .replicas_of(vid)
-                    .iter()
-                    .copied()
-                    .filter(|s| !self.holders[v].contains(s))
-                    .collect();
+        if IncrementalPlacement::place_into(&self.holders, &input, &mut self.placement).is_ok() {
+            for (v, (planned, holders)) in self.planned.iter_mut().zip(&self.holders).enumerate() {
+                planned.extend(
+                    self.placement
+                        .replicas_of(VideoId(v as u32))
+                        .iter()
+                        .copied()
+                        .filter(|s| !holders.contains(s)),
+                );
             }
         }
     }
@@ -616,17 +645,10 @@ impl ReplicaActuator {
         if r == u32::MAX {
             return true;
         }
-        let n_racks = self
-            .rack_of
-            .iter()
-            .filter(|&&x| x != u32::MAX)
-            .max()
-            .map(|&x| x as usize + 1)
-            .unwrap_or(0);
-        if n_racks == 0 {
+        if self.n_racks == 0 {
             return true;
         }
-        let cap = (self.targets[v] as usize).div_ceil(n_racks) as u32;
+        let cap = (self.targets[v] as usize).div_ceil(self.n_racks) as u32;
         let mut in_rack = 0u32;
         for &h in &self.holders[v] {
             if self.up[h.index()] && self.rack_of.get(h.index()) == Some(&r) {
@@ -663,23 +685,50 @@ impl ReplicaActuator {
     /// restoring a video to (at most) its original layout degree is
     /// attributed to failure repair; one growing it past that baseline
     /// to the online controller.
+    ///
+    /// The engine calls this after every departure, and nearly every
+    /// such call finds the copy slots full: at the concurrency cap it
+    /// returns before touching `pending`, and below the cap the video
+    /// and source lists live in actuator-owned scratch.
     pub fn pump(&mut self, now: SimTime, links: &mut LinkState, dispatcher: &mut Dispatcher) {
-        if !self.config.enabled() || self.pending.is_empty() {
+        if !self.config.enabled()
+            || self.pending.is_empty()
+            || self.copies.len() >= self.config.max_concurrent
+        {
             return;
         }
-        let bw = self.config.bandwidth_kbps;
-        let mut vids: Vec<u32> = self.pending.iter().copied().collect();
+        let mut vids = std::mem::take(&mut self.pump_vids);
+        let mut srcs = std::mem::take(&mut self.pump_srcs);
+        vids.clear();
+        vids.extend(self.pending.iter().copied());
         if self.any_coded {
             // Most-urgent-first: the stripe with the fewest surviving
             // fragments above its serviceability floor repairs first
             // (ties to the lowest video id). All-replicated runs keep the
             // plain ascending order, byte for byte.
-            vids.sort_by_key(|&vid| {
+            vids.sort_unstable_by_key(|&vid| {
                 let v = vid as usize;
                 (self.alive[v] as i64 - self.min_live[v] as i64, vid)
             });
         }
-        for vid in vids {
+        self.start_copies(&vids, &mut srcs, now, links, dispatcher);
+        self.pump_vids = vids;
+        self.pump_srcs = srcs;
+    }
+
+    /// The body of [`Self::pump`]: walks `vids` in order, starting copies
+    /// until the cap, the backbone or the candidates run out. `srcs` is
+    /// scratch for one copy's read sources.
+    fn start_copies(
+        &mut self,
+        vids: &[u32],
+        srcs: &mut Vec<ServerId>,
+        now: SimTime,
+        links: &mut LinkState,
+        dispatcher: &mut Dispatcher,
+    ) {
+        let bw = self.config.bandwidth_kbps;
+        for &vid in vids {
             if self.copies.len() >= self.config.max_concurrent {
                 return;
             }
@@ -700,20 +749,20 @@ impl ReplicaActuator {
                 // rank by most free link, ties to the lowest id —
                 // identical to the old `max_by_key` pick at fan-in 1.
                 let fan_in = self.min_live[v] as usize;
-                let mut srcs: Vec<ServerId> = self.holders[v]
-                    .iter()
-                    .copied()
-                    .filter(|&s| links.is_up(s) && links.free_kbps(s) >= bw)
-                    .collect();
-                srcs.sort_by_key(|&s| (std::cmp::Reverse(links.free_kbps(s)), s));
+                srcs.clear();
+                srcs.extend(
+                    self.holders[v]
+                        .iter()
+                        .copied()
+                        .filter(|&s| links.is_up(s) && links.free_kbps(s) >= bw),
+                );
+                srcs.sort_unstable_by_key(|&s| (std::cmp::Reverse(links.free_kbps(s)), s));
                 if srcs.len() < fan_in {
                     // Fewer than `k` servable fragments: reconstruction
                     // is impossible until a holder recovers.
                     break;
                 }
-                srcs.truncate(fan_in);
                 let src = srcs[0];
-                let extra_srcs: Vec<ServerId> = srcs[1..].to_vec();
                 let Some(dst) = self.choose_dst(v, bw, links) else {
                     break;
                 };
@@ -723,6 +772,9 @@ impl ReplicaActuator {
                     // Backbone saturated: nothing else can start either.
                     return;
                 };
+                // Only a coded reconstruction (fan-in k > 1) allocates,
+                // once per copy it starts, for its k - 1 extra sources.
+                let extra_srcs: Vec<ServerId> = srcs[1..fan_in].to_vec();
                 // Cause-based attribution: the copy is failure *repair*
                 // only when this video currently has a failed holder —
                 // that is the only way a replica is ever lost. Anything
@@ -803,6 +855,10 @@ impl ReplicaActuator {
         self.integrate(c.done_at.as_min());
         // The reservation made at copy start now backs a real replica.
         self.holders[c.video.index()].push(c.dst);
+        let held = &mut self.held_by[c.dst.index()];
+        if let Err(at) = held.binary_search(&c.video.0) {
+            held.insert(at, c.video.0);
+        }
         self.in_flight[c.video.index()] -= 1;
         self.bump_alive(c.video.index(), 1);
         let fan_in = self.min_live[c.video.index()] as u64;
@@ -974,6 +1030,12 @@ impl ReplicaActuator {
             }
         }
         assert_eq!(per_video, self.in_flight, "in-flight counters out of sync");
+        for (j, held) in self.held_by.iter().enumerate() {
+            let scan: Vec<u32> = (0..self.holders.len() as u32)
+                .filter(|&v| self.holders[v as usize].contains(&ServerId(j as u32)))
+                .collect();
+            assert_eq!(held, &scan, "server {j}: held-by index out of sync");
+        }
         let fresh: f64 = self.weight.iter().sum();
         assert!(
             (self.deficit_weight - fresh).abs() < 1e-9,
@@ -1353,6 +1415,42 @@ mod tests {
         // Deficit integral accrued over [1.0, 3.0): >= 2 video·min.
         c.finish(10.0, &mut links, &mut disp);
         assert!(c.deficit_video_min() >= 2.0 - 1e-9);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn pump_at_the_copy_cap_changes_nothing() {
+        // Cap 2 while s0's crash leaves four videos short: two copies
+        // start and the other two videos stay pending.
+        let (catalog, cluster, layout) = world(4, 8, 2, 8);
+        let mut links = LinkState::new(&cluster);
+        let mut disp = Dispatcher::new(Default::default(), 8);
+        let config = RepairConfig {
+            bandwidth_kbps: 20_000,
+            max_concurrent: 2,
+        };
+        let mut c = ReplicaActuator::new(&catalog, &cluster, &layout, config);
+        links.fail(ServerId(0));
+        c.on_failure(
+            SimTime::from_min(10.0),
+            ServerId(0),
+            &[0; 8],
+            &mut links,
+            &mut disp,
+        );
+        assert_eq!(c.copies.len(), 2);
+        assert!(!c.pending.is_empty());
+        let pending = c.pending.clone();
+        let copies = format!("{:?}", c.copies);
+        let seq = c.seq;
+        let repair = links.repair_kbps().to_vec();
+        let used = links.used_kbps().to_vec();
+        c.pump(SimTime::from_min(11.0), &mut links, &mut disp);
+        assert_eq!(c.pending, pending);
+        assert_eq!(format!("{:?}", c.copies), copies);
+        assert_eq!(c.seq, seq);
+        assert_eq!(links.repair_kbps(), &repair[..]);
+        assert_eq!(links.used_kbps(), &used[..]);
         c.check_invariants();
     }
 

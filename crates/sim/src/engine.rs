@@ -1065,10 +1065,9 @@ impl<'a> Simulation<'a> {
                 // Stage the window's arrivals. An out-of-catalog id
                 // falls back to the serial body, which surfaces the
                 // same `UnknownVideo` error at the same request.
-                let plan = state
-                    .window_plan
-                    .as_ref()
-                    .expect("windowed run lost its plan");
+                let plan = state.window_plan.as_ref().ok_or(ModelError::Internal {
+                    context: "windowed run lost its plan",
+                })?;
                 records.clear();
                 for r in &reqs[i..j] {
                     let Some((kbps, duration_s)) = videos.get(r.video.index()) else {
@@ -1190,9 +1189,13 @@ impl<'a> Simulation<'a> {
                             })
                             .collect::<Vec<_>>()
                             .into_iter()
-                            .map(|handle| handle.join().expect("window worker panicked"))
-                            .collect()
-                    })
+                            .map(|handle| {
+                                handle.join().map_err(|_| ModelError::Internal {
+                                    context: "window worker panicked",
+                                })
+                            })
+                            .collect::<Result<_, _>>()
+                    })?
                 } else {
                     // Single core (or one busy group): identical worker
                     // code inline — windows still open and count.

@@ -37,7 +37,13 @@
 //!   groups for the parallel engine;
 //! * [`engine`] — the run loop tying it together.
 //!
-//! The serial run loop is allocation-free on the hot path. Setting
+//! The serial run loop is allocation-free on the hot path: every arrival
+//! and every departure, including the repair pump a departure triggers
+//! (it returns at the copy cap before touching any state, and below the
+//! cap reuses the actuator's own buffers). Topology events — a crash and
+//! its replan, a recovery, a copy starting or completing — may allocate,
+//! and a coded reconstruction allocates its `k − 1` extra read sources
+//! once when it starts. Setting
 //! [`SimConfig::shards`] above 1 opts into the sharded engine: when the
 //! layout decomposes into independent server groups (and no coupling
 //! features are active) each group runs on its own thread and the
