@@ -11,11 +11,10 @@
 //! * `chaos`    — stochastic crashes + brownouts with stream failover and
 //!   mid-run repair, the path that hammers `extract_active`.
 //!
-//! Plus the sharded-engine group: a pod-structured 256-server world
-//! replayed at `shards = 1` (serial) vs `shards = 8` (decoupled
-//! parallel). The two runs produce byte-identical reports — asserted
-//! before measuring — so the throughput delta is pure engine overhead
-//! vs parallel speedup.
+//! Plus the pods group: a pod-structured 256-server world (32
+//! independent 8-server pods) replayed failure-free (`pods`) and with
+//! one mid-run outage (`pods_outage`) — the worlds the perf smoke's
+//! `par_*` and `coupled_par_*` figures run on.
 //!
 //! Plus the scale group: the A-9 world shape (512 servers, 20,000
 //! videos, diurnal + premiere + churn arrivals) replayed through the
@@ -103,8 +102,7 @@ fn bench_a1_macro(c: &mut Criterion) {
 
 /// A pod-structured world of `pods` independent 8-server groups, each
 /// pod holding its own 8 videos on 2-replica sets, plus an evenly
-/// spread peak-period trace. Every replica set stays inside one pod,
-/// so the decoupled parallel path fans out to the full shard count.
+/// spread peak-period trace. Every replica set stays inside one pod.
 fn pods_world(pods: usize) -> (Catalog, ClusterSpec, Layout, Trace) {
     const PER_POD: usize = 8;
     let n_servers = pods * PER_POD;
@@ -146,88 +144,31 @@ fn pods_world(pods: usize) -> (Catalog, ClusterSpec, Layout, Trace) {
     (catalog, cluster, layout, trace)
 }
 
-fn bench_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("a1_macro_sharded");
+fn bench_pods(c: &mut Criterion) {
+    use vod_sim::{FailurePlan, Outage};
+
+    let mut group = c.benchmark_group("a1_macro_pods");
     group.sample_size(10);
     let (catalog, cluster, layout, trace) = pods_world(32);
-    let sim_for = |shards| {
-        Simulation::new(
+    let outage = FailurePlan::new(vec![Outage {
+        server: ServerId(3),
+        down_at_min: 30.0,
+        up_at_min: Some(60.0),
+    }])
+    .unwrap();
+    for (name, failures) in [("pods", FailurePlan::none()), ("pods_outage", outage)] {
+        let sim = Simulation::new(
             &catalog,
             &cluster,
             &layout,
             SimConfig {
-                shards,
+                failures,
                 ..SimConfig::default()
             },
         )
-        .unwrap()
-    };
-    // Determinism gate: the numbers below are only comparable because
-    // the sharded replay is byte-identical to the serial one.
-    assert_eq!(
-        sim_for(1).run(&trace).unwrap(),
-        sim_for(8).run(&trace).unwrap()
-    );
-    for shards in [1usize, 8] {
-        let sim = sim_for(shards);
+        .unwrap();
         group.throughput(Throughput::Elements(count_events(&sim, &trace)));
-        group.bench_with_input(
-            BenchmarkId::new("pods", format!("shards={shards}")),
-            &shards,
-            |b, _| b.iter(|| black_box(sim.run(black_box(&trace)).unwrap())),
-        );
-    }
-    group.finish();
-}
-
-/// Coupled-path A/B: the same pods world with one mid-run outage, which
-/// makes the decoupled fan-out ineligible. `serial` replays it through
-/// the plain coupled loop (windowing off); `windowed` replays it at
-/// `shards = 8` under the bounded-lookahead window scheduler
-/// (DESIGN.md §7). Reports are byte-identical — asserted before
-/// measuring — so the delta is exactly what windowing costs (or saves)
-/// on this machine.
-fn bench_coupled_windowed(c: &mut Criterion) {
-    use vod_sim::{FailurePlan, Outage, WindowConfig};
-
-    let mut group = c.benchmark_group("a1_macro_coupled");
-    group.sample_size(10);
-    let (catalog, cluster, layout, trace) = pods_world(32);
-    let outage = || {
-        FailurePlan::new(vec![Outage {
-            server: ServerId(3),
-            down_at_min: 30.0,
-            up_at_min: Some(60.0),
-        }])
-        .unwrap()
-    };
-    let sim_for = |shards, enabled| {
-        Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards,
-                failures: outage(),
-                window: WindowConfig {
-                    enabled,
-                    ..WindowConfig::default()
-                },
-                ..SimConfig::default()
-            },
-        )
-        .unwrap()
-    };
-    // Determinism gate: the windowed replay is byte-identical to the
-    // serial coupled loop, or the A/B compares nothing.
-    assert_eq!(
-        sim_for(1, false).run(&trace).unwrap(),
-        sim_for(8, true).run(&trace).unwrap()
-    );
-    for (name, shards, enabled) in [("serial", 1usize, false), ("windowed", 8, true)] {
-        let sim = sim_for(shards, enabled);
-        group.throughput(Throughput::Elements(count_events(&sim, &trace)));
-        group.bench_with_input(BenchmarkId::new("pods_outage", name), &shards, |b, _| {
+        group.bench_function(name, |b| {
             b.iter(|| black_box(sim.run(black_box(&trace)).unwrap()))
         });
     }
@@ -243,7 +184,7 @@ fn bench_scale(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("a1_macro_scale");
     group.sample_size(10);
-    let mut world = ScaleWorld::production(1);
+    let mut world = ScaleWorld::production();
     world.setup.horizon_min = 360.0;
     world.diurnal.period_min = 360.0;
     world.pulses = vec![vod_workload::RatePulse {
@@ -287,11 +228,5 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_a1_macro,
-    bench_sharded,
-    bench_coupled_windowed,
-    bench_scale
-);
+criterion_group!(benches, bench_a1_macro, bench_pods, bench_scale);
 criterion_main!(benches);

@@ -125,60 +125,6 @@ fn bench_dispatcher_pick(c: &mut Criterion) {
     group.finish();
 }
 
-/// A/B for the round-robin candidate-order cache: the dispatcher keeps
-/// the next precomputed `counter % n` position per video and serves it
-/// without the integer division while the replica count is stable
-/// (`cached`); a replica set whose length keeps changing invalidates
-/// the slot every pick and falls back to the modulo (`invalidated`).
-/// The stable case is the hot path — every windowed coordinator
-/// pre-pass and every serial round-robin dispatch takes it.
-fn bench_rr_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatcher");
-    let catalog = Catalog::fixed_rate(200, BitRate::MPEG2, 5_400).unwrap();
-    let cluster = ClusterSpec::homogeneous(
-        SERVERS as usize,
-        ServerSpec {
-            storage_bytes: u64::MAX,
-            bandwidth_kbps: 1_000_000_000,
-        },
-    )
-    .unwrap();
-    let links = LinkState::new(&cluster);
-    // Three- and two-server candidate lists for the same videos: the
-    // `invalidated` case alternates between them so the cached length
-    // never matches, the `cached` case always offers all three.
-    let full: Vec<Vec<ServerId>> = (0..200u32)
-        .map(|v| {
-            vec![
-                ServerId(v % SERVERS),
-                ServerId((v + 1) % SERVERS),
-                ServerId((v + 2) % SERVERS),
-            ]
-        })
-        .collect();
-    for (name, alternate) in [("rr_cached", false), ("rr_invalidated", true)] {
-        let mut dispatcher = Dispatcher::new(AdmissionPolicy::StaticRoundRobin, catalog.len());
-        let mut v = 0u32;
-        let mut flip = false;
-        group.throughput(Throughput::Elements(1));
-        group.bench_with_input(BenchmarkId::new("pick", name), &alternate, |b, _| {
-            b.iter(|| {
-                let video = VideoId(v % 200);
-                v = v.wrapping_add(1);
-                let replicas = &full[video.index()];
-                let replicas = if alternate && flip {
-                    &replicas[..2]
-                } else {
-                    &replicas[..]
-                };
-                flip = !flip;
-                black_box(dispatcher.dispatch(video, 4_000, replicas, &links))
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Walker/Vose alias sampling — the per-arrival video pick.
 fn bench_alias_sample(c: &mut Criterion) {
     let mut group = c.benchmark_group("alias");
@@ -194,7 +140,6 @@ criterion_group!(
     bench_queue_churn,
     bench_queue_extract,
     bench_dispatcher_pick,
-    bench_rr_cache,
     bench_alias_sample
 );
 criterion_main!(benches);

@@ -48,8 +48,6 @@ fn run_with_failures(
         policy,
         horizon_min: setup.horizon_min,
         failures,
-        shards: setup.shards,
-        window: setup.window,
         ..SimConfig::default()
     };
     let sim = Simulation::new(

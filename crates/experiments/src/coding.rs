@@ -141,8 +141,6 @@ fn run_cell(
         let config = SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
             horizon_min: setup.horizon_min,
-            shards: setup.shards,
-            window: setup.window,
             failure_model: Some(FailureModel::exponential(
                 MTBF_MIN,
                 mttr_min,

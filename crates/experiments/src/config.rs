@@ -2,7 +2,6 @@
 //! numerals reconstructed as documented in DESIGN.md §3.
 
 use vod_model::{BitRate, Catalog, ClusterSpec, ModelError, Popularity, ServerSpec};
-use vod_sim::WindowConfig;
 
 /// All constants of the paper's simulation study in one place.
 #[derive(Debug, Clone, Copy)]
@@ -24,15 +23,6 @@ pub struct PaperSetup {
     /// Runs averaged per data point ("Each result was an average of …
     /// runs"; reconstructed: 20).
     pub runs: u32,
-    /// Engine shards per simulation ([`vod_sim::SimConfig::shards`]).
-    /// 1 (the default) is the serial engine; higher values opt into the
-    /// sharded engine, whose reports are byte-identical to `shards: 1`.
-    pub shards: usize,
-    /// Windowed-execution tuning for the coupled sharded path
-    /// ([`vod_sim::SimConfig::window`]); reports stay byte-identical at
-    /// any setting — the knobs only trade parallelism against barrier
-    /// overhead.
-    pub window: WindowConfig,
 }
 
 impl Default for PaperSetup {
@@ -45,8 +35,6 @@ impl Default for PaperSetup {
             server_bandwidth_kbps: 1_800_000,
             horizon_min: 90.0,
             runs: 20,
-            shards: 1,
-            window: WindowConfig::default(),
         }
     }
 }

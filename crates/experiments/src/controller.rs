@@ -188,8 +188,6 @@ fn run_cell(
         let config = SimConfig {
             policy: AdmissionPolicy::LeastLoadedReplica,
             horizon_min: setup.horizon_min,
-            shards: setup.shards,
-            window: setup.window,
             failure_model: failures
                 .then(|| FailureModel::exponential(MTBF_MIN, MTTR_MIN, base_seed ^ stream ^ 0xFA)),
             repair: RepairConfig {

@@ -103,8 +103,6 @@ fn run_cell(
         let config = SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
             horizon_min: setup.horizon_min,
-            shards: setup.shards,
-            window: setup.window,
             admission: AdmissionConfig {
                 seed: base_seed ^ stream,
                 ..admission.clone()

@@ -197,8 +197,6 @@ pub fn run_replications_with_telemetry(
     let config = SimConfig {
         policy,
         horizon_min: setup.horizon_min,
-        shards: setup.shards,
-        window: setup.window,
         ..SimConfig::default()
     };
     let sim = Simulation::new(

@@ -37,8 +37,7 @@ use vod_workload::{CatalogChurn, DiurnalCycle, RateModel, RatePulse, ThinnedWork
 ///
 /// The departure queue holds one 36-byte packed slot and one 24-byte
 /// heap entry per active stream (DESIGN.md §7); Vec growth doubles
-/// capacity, and the per-shard sub-queues each keep a small scratch
-/// buffer. 192 bytes = (36 + 24) × 2 growth slack × ~1.6 structural
+/// capacity, and the queue keeps a small scratch buffer. 192 bytes = (36 + 24) × 2 growth slack × ~1.6 structural
 /// overhead, rounded to a stable power-of-two-ish contract. The CI
 /// memory smoke fails any run whose measured bytes/active-stream
 /// exceeds this.
@@ -51,7 +50,7 @@ pub const SCALE_SEED: u64 = 0x5CA1E;
 /// time-varying arrival shape layered on top.
 #[derive(Debug, Clone)]
 pub struct ScaleWorld {
-    /// Cluster/catalog shape (servers, videos, horizon, shards).
+    /// Cluster/catalog shape (servers, videos, horizon).
     pub setup: PaperSetup,
     /// Zipf skew of the base popularity.
     pub theta: f64,
@@ -72,14 +71,13 @@ impl ScaleWorld {
     /// The full A-9 production world: 512 servers, 20,000 titles,
     /// 48 hours of diurnal load with two prime-time premieres and
     /// twice-daily catalog churn.
-    pub fn production(shards: usize) -> Self {
+    pub fn production() -> Self {
         ScaleWorld {
             setup: PaperSetup {
                 n_servers: 512,
                 n_videos: 20_000,
                 horizon_min: 2_880.0,
                 runs: 1,
-                shards,
                 ..PaperSetup::default()
             },
             theta: 0.9,
@@ -110,14 +108,13 @@ impl ScaleWorld {
 
     /// The CI-sized smoke world (`--fast`): the same shape at 64
     /// servers / 2,000 titles / 6 hours, small enough for every CI run.
-    pub fn smoke(shards: usize) -> Self {
+    pub fn smoke() -> Self {
         ScaleWorld {
             setup: PaperSetup {
                 n_servers: 64,
                 n_videos: 2_000,
                 horizon_min: 360.0,
                 runs: 1,
-                shards,
                 ..PaperSetup::default()
             },
             diurnal: DiurnalCycle {
@@ -133,20 +130,19 @@ impl ScaleWorld {
                 period_min: 90.0,
                 step: 97,
             },
-            ..Self::production(shards)
+            ..Self::production()
         }
     }
 
     /// A sub-second world for the perf smoke and unit tests: 16
     /// servers / 500 titles / 3 hours.
-    pub fn mini(shards: usize) -> Self {
+    pub fn mini() -> Self {
         ScaleWorld {
             setup: PaperSetup {
                 n_servers: 16,
                 n_videos: 500,
                 horizon_min: 180.0,
                 runs: 1,
-                shards,
                 ..PaperSetup::default()
             },
             diurnal: DiurnalCycle {
@@ -162,7 +158,7 @@ impl ScaleWorld {
                 period_min: 60.0,
                 step: 13,
             },
-            ..Self::production(shards)
+            ..Self::production()
         }
     }
 
@@ -227,8 +223,6 @@ pub struct ScaleRow {
     pub n_videos: usize,
     /// Trace horizon in minutes.
     pub horizon_min: f64,
-    /// Engine shards.
-    pub shards: usize,
     /// Base arrival rate (requests/min) before modulation.
     pub lambda_base_per_min: f64,
     /// Requests pulled from the streaming source.
@@ -329,8 +323,6 @@ pub fn compute(world: &ScaleWorld, seed: u64) -> Result<ScaleOutcome, Box<dyn st
         horizon_min: setup.horizon_min,
         sample_interval_min: (setup.horizon_min / 288.0).max(0.25),
         record_series: true,
-        shards: setup.shards,
-        window: setup.window,
         ..SimConfig::default()
     };
     let sim = Simulation::new(
@@ -357,7 +349,6 @@ pub fn compute(world: &ScaleWorld, seed: u64) -> Result<ScaleOutcome, Box<dyn st
         n_servers: setup.n_servers,
         n_videos: setup.n_videos,
         horizon_min: setup.horizon_min,
-        shards: setup.shards,
         lambda_base_per_min: world.base_lambda_per_min(),
         requests: report.arrivals,
         admitted: report.admitted,
@@ -458,9 +449,9 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     // `--fast` swaps in PaperSetup::fast() (fewer videos than the paper
     // default); treat that as the request for the CI-sized world.
     let world = if setup.n_videos < PaperSetup::default().n_videos {
-        ScaleWorld::smoke(setup.shards)
+        ScaleWorld::smoke()
     } else {
-        ScaleWorld::production(setup.shards)
+        ScaleWorld::production()
     };
     let outcome = compute(&world, SCALE_SEED)?;
     let s = &outcome.summary;
@@ -529,14 +520,13 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     // The line the CI memory smoke greps; keep the key=value format
     // stable.
     println!(
-        "SCALE n_servers={} n_videos={} horizon_min={:.0} shards={} requests={} \
+        "SCALE n_servers={} n_videos={} horizon_min={:.0} requests={} \
          events={} events_per_sec={:.0} peak_streams={} stream_capacity={} \
          rejection_rate={:.4} peak_rss_mib={:.1} bytes_per_active_stream={:.1} \
          bytes_ceiling={:.0} bounds_ok={}",
         s.n_servers,
         s.n_videos,
         s.horizon_min,
-        s.shards,
         s.requests,
         s.events,
         s.events_per_sec,
@@ -557,7 +547,7 @@ mod tests {
 
     #[test]
     fn production_world_sizing() {
-        let w = ScaleWorld::production(1);
+        let w = ScaleWorld::production();
         assert_eq!(w.stream_capacity(), 512 * 450);
         assert!((w.base_lambda_per_min() - 0.6 * 230_400.0 / 90.0).abs() < 1e-9);
         // The diurnal crest must stay under the bandwidth bound so the
@@ -570,7 +560,7 @@ mod tests {
 
     #[test]
     fn mini_world_respects_every_bound() {
-        let outcome = compute(&ScaleWorld::mini(1), 7).unwrap();
+        let outcome = compute(&ScaleWorld::mini(), 7).unwrap();
         let s = &outcome.summary;
         assert!(s.requests > 1_000, "requests {}", s.requests);
         assert_eq!(s.admitted + s.rejected, s.requests);
@@ -585,18 +575,8 @@ mod tests {
     }
 
     #[test]
-    fn mini_world_is_shard_invariant() {
-        let a = compute(&ScaleWorld::mini(1), 7).unwrap();
-        let b = compute(&ScaleWorld::mini(8), 7).unwrap();
-        assert_eq!(a.summary.requests, b.summary.requests);
-        assert_eq!(a.summary.admitted, b.summary.admitted);
-        assert_eq!(a.summary.rejected, b.summary.rejected);
-        assert_eq!(a.summary.peak_streams, b.summary.peak_streams);
-    }
-
-    #[test]
     fn offered_load_tracks_the_rate_model() {
-        let w = ScaleWorld::mini(1);
+        let w = ScaleWorld::mini();
         let rate = w.rate_model().unwrap();
         // Before one holding time has elapsed the integral is partial.
         let early = w.offered_streams_at(&rate, 1.0);

@@ -140,8 +140,6 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     let config = vod_sim::SimConfig {
         policy: AdmissionPolicy::RoundRobinFailover,
         failures: outage,
-        shards: setup.shards,
-        window: setup.window,
         ..vod_sim::SimConfig::default()
     };
     let sim = vod_sim::Simulation::new(

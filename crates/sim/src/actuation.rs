@@ -819,27 +819,15 @@ impl ReplicaActuator {
         self.copies.iter().map(|c| c.done_at).min()
     }
 
-    /// Whether any video still waits for a copy to start. While this is
-    /// set, freed link bandwidth can start a copy at any event — a
-    /// global coupling the windowed engine must not parallelize across,
-    /// so it only opens windows when the pending set is empty (in-flight
-    /// copies are fine: their completions bound the window).
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Completes the earliest due copy: releases its bandwidth, makes the
-    /// replica servable, and updates redundancy accounting. Returns the
-    /// `(video, destination)` of the integrated replica — the windowed
-    /// engine checks the destination against its shard plan, since a
-    /// cross-group copy breaks group containment. Errors when no copy is
-    /// in flight (the engine only calls this when
+    /// replica servable, and updates redundancy accounting. Errors when
+    /// no copy is in flight (the engine only calls this when
     /// [`Self::next_completion`] reported one).
     pub fn complete_next(
         &mut self,
         links: &mut LinkState,
         dispatcher: &mut Dispatcher,
-    ) -> Result<(VideoId, ServerId), ModelError> {
+    ) -> Result<(), ModelError> {
         let idx = self
             .copies
             .iter()
@@ -850,7 +838,6 @@ impl ReplicaActuator {
                 context: "complete_next called with no in-flight copies",
             })?;
         let c = self.copies.remove(idx);
-        let integrated = (c.video, c.dst);
         Self::release_copy(&c, links, dispatcher);
         self.integrate(c.done_at.as_min());
         // The reservation made at copy start now backs a real replica.
@@ -881,7 +868,7 @@ impl ReplicaActuator {
         // A recovery may have raced this copy past its target.
         self.retire_surplus(c.video.index());
         self.pump(c.done_at, links, dispatcher);
-        Ok(integrated)
+        Ok(())
     }
 
     /// Brownout hook: while `server` is committed beyond its shrunken

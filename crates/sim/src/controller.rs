@@ -34,9 +34,7 @@
 //! float division), every tie breaks on the lower video id, and ticks
 //! fire at fixed instants *after* all other events due at the same
 //! instant. A run with the controller enabled is a pure function of
-//! (trace, config); the controller is a cluster-coupling feature, so
-//! the sharded engine routes such runs through its serial
-//! coupled-fallback path (see `Simulation::decoupled_plan`).
+//! (trace, config).
 
 use crate::actuation::ReplicaActuator;
 use crate::dispatch::Dispatcher;

@@ -63,14 +63,6 @@ pub enum Decision {
 pub struct Dispatcher {
     policy: AdmissionPolicy,
     rr_next: Vec<u32>,
-    /// Cached next round-robin position per video — `rr_next % n`
-    /// precomputed by the previous advance, so the dispatch hot path
-    /// skips the integer division while the replica count is stable.
-    rr_pos: Vec<u32>,
-    /// Replica count the cached position was computed against; a
-    /// mismatch (replica set grew/shrank mid-run) falls back to the
-    /// modulo so the rotation stays exactly `counter % n`.
-    rr_len: Vec<u32>,
     backbone_used_kbps: u64,
     probes: u64,
 }
@@ -81,8 +73,6 @@ impl Dispatcher {
         Dispatcher {
             policy,
             rr_next: vec![0; n_videos],
-            rr_pos: vec![0; n_videos],
-            rr_len: vec![0; n_videos],
             backbone_used_kbps: 0,
             probes: 0,
         }
@@ -106,97 +96,12 @@ impl Dispatcher {
     }
 
     /// Advances the video's round-robin pointer and returns the scheduled
-    /// replica position — always exactly `counter % n_replicas`, served
-    /// from the cached position when the replica count is unchanged
-    /// (`counter == 0` also falls through to the modulo: it covers both
-    /// first use and `u32` wraparound, where the cache is unseeded or
-    /// one step out of phase).
-    pub(crate) fn rr_advance(&mut self, video: VideoId, n_replicas: usize) -> usize {
-        let i = video.index();
-        let slot = self.rr_next[i];
-        let pos = if self.rr_len[i] as usize == n_replicas && slot != 0 {
-            self.rr_pos[i] as usize
-        } else {
-            slot as usize % n_replicas
-        };
-        self.rr_next[i] = slot.wrapping_add(1);
-        self.rr_len[i] = n_replicas as u32;
-        let next = pos + 1;
-        self.rr_pos[i] = if next >= n_replicas { 0 } else { next as u32 };
+    /// replica position.
+    fn rr_advance(&mut self, video: VideoId, n_replicas: usize) -> usize {
+        let slot = &mut self.rr_next[video.index()];
+        let pos = *slot as usize % n_replicas;
+        *slot = (*slot).wrapping_add(1);
         pos
-    }
-
-    /// Adds externally performed admission-scan iterations to the probe
-    /// counter (the windowed engine's workers route via [`Self::route`]
-    /// and fold their scan costs back in at the barrier).
-    pub(crate) fn add_probes(&mut self, n: u64) {
-        self.probes += n;
-    }
-
-    /// The stateless core of [`Self::dispatch`] for the policies whose
-    /// routing reads only link state: given the pre-advanced round-robin
-    /// `start` position, returns the decision and the number of
-    /// admission probes the scan performed. Windowed workers call this
-    /// concurrently against their group-local link replicas; the serial
-    /// path delegates to it so both are one body of code.
-    /// [`AdmissionPolicy::BackboneRedirect`] is stateful (shared
-    /// backbone pool) and never routes through here.
-    pub(crate) fn route(
-        policy: AdmissionPolicy,
-        start: usize,
-        kbps: u64,
-        replicas: &[ServerId],
-        links: &LinkState,
-    ) -> (Decision, u64) {
-        match policy {
-            AdmissionPolicy::StaticRoundRobin => {
-                let server = replicas[start];
-                if links.can_admit(server, kbps) {
-                    (
-                        Decision::Admit {
-                            server,
-                            backbone_kbps: 0,
-                        },
-                        1,
-                    )
-                } else {
-                    (Decision::Reject, 1)
-                }
-            }
-            AdmissionPolicy::RoundRobinFailover => {
-                for probe in 0..replicas.len() {
-                    let server = replicas[(start + probe) % replicas.len()];
-                    if links.can_admit(server, kbps) {
-                        return (
-                            Decision::Admit {
-                                server,
-                                backbone_kbps: 0,
-                            },
-                            probe as u64 + 1,
-                        );
-                    }
-                }
-                (Decision::Reject, replicas.len() as u64)
-            }
-            AdmissionPolicy::LeastLoadedReplica => {
-                let best = replicas
-                    .iter()
-                    .copied()
-                    .filter(|&s| links.can_admit(s, kbps))
-                    .max_by_key(|&s| (links.free_kbps(s), std::cmp::Reverse(s)));
-                let decision = match best {
-                    Some(server) => Decision::Admit {
-                        server,
-                        backbone_kbps: 0,
-                    },
-                    None => Decision::Reject,
-                };
-                (decision, replicas.len() as u64)
-            }
-            AdmissionPolicy::BackboneRedirect { .. } => {
-                unreachable!("backbone routing is stateful and stays in dispatch()")
-            }
-        }
     }
 
     /// Routes one request for `video` at `kbps` over its current
@@ -214,17 +119,47 @@ impl Dispatcher {
         debug_assert!(!replicas.is_empty());
 
         match self.policy {
-            policy @ (AdmissionPolicy::StaticRoundRobin
-            | AdmissionPolicy::RoundRobinFailover
-            | AdmissionPolicy::LeastLoadedReplica) => {
-                let start = if matches!(policy, AdmissionPolicy::LeastLoadedReplica) {
-                    0
+            AdmissionPolicy::StaticRoundRobin => {
+                let pos = self.rr_advance(video, replicas.len());
+                let server = replicas[pos];
+                self.probes += 1;
+                if links.can_admit(server, kbps) {
+                    Decision::Admit {
+                        server,
+                        backbone_kbps: 0,
+                    }
                 } else {
-                    self.rr_advance(video, replicas.len())
-                };
-                let (decision, probes) = Self::route(policy, start, kbps, replicas, links);
-                self.probes += probes;
-                decision
+                    Decision::Reject
+                }
+            }
+            AdmissionPolicy::RoundRobinFailover => {
+                let start = self.rr_advance(video, replicas.len());
+                for probe in 0..replicas.len() {
+                    let server = replicas[(start + probe) % replicas.len()];
+                    self.probes += 1;
+                    if links.can_admit(server, kbps) {
+                        return Decision::Admit {
+                            server,
+                            backbone_kbps: 0,
+                        };
+                    }
+                }
+                Decision::Reject
+            }
+            AdmissionPolicy::LeastLoadedReplica => {
+                self.probes += replicas.len() as u64;
+                let best = replicas
+                    .iter()
+                    .copied()
+                    .filter(|&s| links.can_admit(s, kbps))
+                    .max_by_key(|&s| (links.free_kbps(s), std::cmp::Reverse(s)));
+                match best {
+                    Some(server) => Decision::Admit {
+                        server,
+                        backbone_kbps: 0,
+                    },
+                    None => Decision::Reject,
+                }
             }
             AdmissionPolicy::BackboneRedirect {
                 backbone_capacity_kbps,
@@ -465,19 +400,6 @@ mod tests {
             d.dispatch(VideoId(0), 4_000, layout.replicas_of(VideoId(0)), &links),
             Decision::Reject
         );
-    }
-
-    #[test]
-    fn rr_cache_stays_congruent_with_the_counter() {
-        // The cached position must equal `counter % n` across replica
-        // set growth, shrinkage, and return to a previous size.
-        let mut d = Dispatcher::new(AdmissionPolicy::StaticRoundRobin, 1);
-        let mut counter = 0u32;
-        for &n in &[3usize, 3, 3, 5, 5, 2, 3, 3, 1, 4, 4, 4, 4, 4] {
-            let pos = d.rr_advance(VideoId(0), n);
-            assert_eq!(pos, counter as usize % n, "n={n} counter={counter}");
-            counter = counter.wrapping_add(1);
-        }
     }
 
     #[test]

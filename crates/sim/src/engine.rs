@@ -21,17 +21,16 @@ use crate::admission::{AdmissionConfig, AdmissionState, PendingRequest};
 use crate::audit::{Auditor, Ledger};
 use crate::controller::{ControllerConfig, DriftController};
 use crate::dispatch::{AdmissionPolicy, Decision, Dispatcher};
-use crate::event::{Departure, DepartureQueue, ShardedDepartureQueue, NO_STREAM};
+use crate::event::{Departure, DepartureQueue, NO_STREAM};
 use crate::failure::{FailureModel, FailurePlan, Transition, TransitionKind};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::repair::{FailoverPolicy, RepairConfig};
 use crate::server::LinkState;
-use crate::shard::ShardPlan;
 use crate::time::SimTime;
 use vod_model::{
     BitRate, Catalog, ClusterSpec, Layout, ModelError, RedundancyMap, ServerId, VideoId,
 };
-use vod_telemetry::{Counter, Histogram, ShardInstrument, Span, Telemetry};
+use vod_telemetry::{Counter, Histogram, Telemetry};
 use vod_workload::{ArrivalIter, ArrivalSource, Request, Trace};
 
 /// Epoch sentinel for departures that were already shed by a brownout:
@@ -75,24 +74,11 @@ pub struct SimConfig {
     /// always audit). Auditing only reads state: it never changes a
     /// run's outcome, only whether a corrupted run fails fast.
     pub audit: bool,
-    /// Engine shards (1 = the serial engine). When the replica graph
-    /// partitions into independent server groups and every
-    /// cluster-scoped feature is inert (no failures, passive admission,
-    /// no backbone pool), each group runs on its own worker thread and
-    /// the per-group results merge deterministically — byte-identical
-    /// to `shards: 1`. Otherwise the run stays on the serial event
-    /// loop, with the departure queue split into per-shard sub-queues
-    /// merged in global `(time, sequence)` order (still
-    /// byte-identical). See DESIGN.md §7.
+    /// Kept for configuration compatibility: validated (`0` is rejected)
+    /// but without effect on execution. Every run uses the one serial
+    /// event loop; parallelism lives in the experiment runner, which
+    /// fans out independent replications. See DESIGN.md §7.
     pub shards: usize,
-    /// Bounded-lookahead windowed execution for the coupled sharded
-    /// path: when `shards > 1` and the replica graph partitions but a
-    /// coupling feature (failures, the controller, an active admission
-    /// pipeline) forces the serial loop, the engine runs each server
-    /// group's events in parallel up to a safe horizon — the earliest
-    /// next cluster-scoped event — and merges exactly at a barrier.
-    /// Reports stay byte-identical to the serial loop. See DESIGN.md §7.
-    pub window: WindowConfig,
 }
 
 impl Default for SimConfig {
@@ -113,7 +99,6 @@ impl Default for SimConfig {
             admission: AdmissionConfig::default(),
             audit: false,
             shards: 1,
-            window: WindowConfig::default(),
         }
     }
 }
@@ -122,32 +107,6 @@ impl SimConfig {
     /// Alias for [`Default::default`], spelling out the provenance.
     pub fn paper_default() -> Self {
         Self::default()
-    }
-}
-
-/// Tuning knobs for the windowed conservative-parallel executor (the
-/// coupled sharded path — see [`SimConfig::window`] and DESIGN.md §7).
-#[derive(Debug, Clone, Copy)]
-pub struct WindowConfig {
-    /// Gate for the windowed path; `false` keeps coupled sharded runs
-    /// on the plain serial loop (the departure queue still splits).
-    pub enabled: bool,
-    /// Minimum arrivals a window must cover to be worth its barrier;
-    /// shorter windows coalesce into the serial fallback. Must be >= 1.
-    pub min_events: u32,
-    /// Upper bound on a window's simulated span in minutes, so quiet
-    /// stretches between coupling events still barrier regularly. Must
-    /// be finite and positive.
-    pub max_span_min: f64,
-}
-
-impl Default for WindowConfig {
-    fn default() -> Self {
-        WindowConfig {
-            enabled: true,
-            min_events: 32,
-            max_span_min: 5.0,
-        }
     }
 }
 
@@ -205,18 +164,6 @@ impl<'a> Simulation<'a> {
                 value: 0.0,
             });
         }
-        if config.window.min_events == 0 {
-            return Err(ModelError::InvalidParameter {
-                name: "window.min_events",
-                value: 0.0,
-            });
-        }
-        if !config.window.max_span_min.is_finite() || config.window.max_span_min <= 0.0 {
-            return Err(ModelError::InvalidParameter {
-                name: "window.max_span_min",
-                value: config.window.max_span_min,
-            });
-        }
         if layout.any_coded() {
             // A coded stream spans k servers; the online controller's
             // replica moves and the backbone's whole-copy redirects both
@@ -251,7 +198,7 @@ impl<'a> Simulation<'a> {
 
     /// Replays `trace` and reports the outcome.
     pub fn run(&self, trace: &Trace) -> Result<SimReport, ModelError> {
-        self.run_with_telemetry(trace, &Telemetry::disabled())
+        self.run_source(trace.requests().iter().copied(), &Telemetry::disabled())
     }
 
     /// Replays `trace`, recording engine counters and timings into
@@ -263,9 +210,8 @@ impl<'a> Simulation<'a> {
     /// `sim.rejected`, `sim.redirected`, `sim.departures`,
     /// `sim.disrupted`, `sim.transitions`, `sim.samples`,
     /// `sim.admission_probes`, `sim.events`; span `sim.run` (seconds);
-    /// histograms `sim.events_per_sec` and its manifest-facing twin
-    /// `sim.engine.events_per_sec` (one observation per run) and
-    /// `sim.queue.peak_len` (per-run peak of concurrently scheduled
+    /// histograms `sim.engine.events_per_sec` (one observation per run)
+    /// and `sim.queue.peak_len` (per-run peak of concurrently scheduled
     /// departures). With
     /// recovery active, additionally: counters `sim.streams.resumed`,
     /// `sim.streams.degraded`, `sim.repair.bytes_copied`,
@@ -285,50 +231,7 @@ impl<'a> Simulation<'a> {
         trace: &Trace,
         telemetry: &Telemetry,
     ) -> Result<SimReport, ModelError> {
-        let span = telemetry.span("sim.run");
-        let ct = EngineCounters::new(telemetry);
-        // Counters are cumulative across runs sharing this handle; this
-        // run's event count is the delta over the starting values. (In
-        // the sharded path the shard workers share the same underlying
-        // counters, so the delta still covers the whole run.)
-        let events_before = ct.events();
-
-        let outcome = match self.decoupled_plan() {
-            Some(plan) => {
-                // Workers iterate the one shared trace by borrowed
-                // slice — no per-shard request clone — and keep the
-                // arrivals their server group owns.
-                self.run_decoupled(telemetry, &ct, &plan, |_k| trace.requests().iter().copied())?
-            }
-            None => {
-                let queue_shards = self.config.shards.min(self.cluster.len()).max(1);
-                let outcome = match self.windowed_plan() {
-                    // Cluster-scoped features force the coupled loop,
-                    // but the replica graph still partitions: run it
-                    // under the bounded-lookahead window scheduler.
-                    Some(plan) => self.run_windowed(trace, telemetry, &ct, plan)?,
-                    None => self.run_core(
-                        trace.requests().iter().copied(),
-                        telemetry,
-                        &ct,
-                        queue_shards,
-                        false,
-                    )?,
-                };
-                if queue_shards > 1 {
-                    // Cluster-scoped features forced the serial loop;
-                    // per-shard telemetry still reports how the split
-                    // departure queue carried the load.
-                    for (k, &pushes) in outcome.queue_pushes.iter().enumerate() {
-                        telemetry
-                            .shard_counter(ShardInstrument::Departures, k)
-                            .add(pushes);
-                    }
-                }
-                outcome
-            }
-        };
-        Ok(self.finish_run(telemetry, &span, &ct, events_before, outcome))
+        self.run_source(trace.requests().iter().copied(), telemetry)
     }
 
     /// Replays a pull-based [`ArrivalSource`] and reports the outcome.
@@ -340,327 +243,86 @@ impl<'a> Simulation<'a> {
     /// For a source that is draw-for-draw identical to a materialized
     /// generator (see `vod_workload::arrival`), the report is identical
     /// to running the materialized trace.
-    pub fn run_streaming<S>(&self, source: S) -> Result<SimReport, ModelError>
-    where
-        S: ArrivalSource + Clone + Send + Sync,
-    {
-        self.run_streaming_with_telemetry(source, &Telemetry::disabled())
+    pub fn run_streaming<S: ArrivalSource>(&self, source: S) -> Result<SimReport, ModelError> {
+        self.run_source(ArrivalIter(source), &Telemetry::disabled())
     }
 
     /// [`Simulation::run_streaming`] with engine counters and timings
     /// recorded into `telemetry` — the same instrument set as
     /// [`Simulation::run_with_telemetry`].
-    pub fn run_streaming_with_telemetry<S>(
+    pub fn run_streaming_with_telemetry<S: ArrivalSource>(
         &self,
         source: S,
         telemetry: &Telemetry,
-    ) -> Result<SimReport, ModelError>
+    ) -> Result<SimReport, ModelError> {
+        self.run_source(ArrivalIter(source), telemetry)
+    }
+
+    /// The event loop behind every entry point. Arrivals are consumed
+    /// lazily, one at a time, merged against the `(time, seq)` event
+    /// queue; the loop never needs the stream's length or its backing
+    /// storage.
+    fn run_source<I>(&self, requests: I, telemetry: &Telemetry) -> Result<SimReport, ModelError>
     where
-        S: ArrivalSource + Clone + Send + Sync,
+        I: Iterator<Item = Request>,
     {
         let span = telemetry.span("sim.run");
         let ct = EngineCounters::new(telemetry);
+        // Counters are cumulative across runs sharing this handle; this
+        // run's event count is the delta over the starting values.
         let events_before = ct.events();
-        let outcome = match self.decoupled_plan() {
-            Some(plan) => {
-                // Each worker replays its own clone of the source (the
-                // stream is seed-deterministic, so every clone yields
-                // the identical sequence) and keeps only its shard's
-                // videos: O(1) trace memory at shards× generation CPU.
-                self.run_decoupled(telemetry, &ct, &plan, |_k| ArrivalIter(source.clone()))?
-            }
-            None => {
-                let queue_shards = self.config.shards.min(self.cluster.len()).max(1);
-                let outcome =
-                    self.run_core(ArrivalIter(source), telemetry, &ct, queue_shards, false)?;
-                if queue_shards > 1 {
-                    for (k, &pushes) in outcome.queue_pushes.iter().enumerate() {
-                        telemetry
-                            .shard_counter(ShardInstrument::Departures, k)
-                            .add(pushes);
-                    }
-                }
-                outcome
-            }
-        };
-        Ok(self.finish_run(telemetry, &span, &ct, events_before, outcome))
-    }
-
-    /// Post-run instrument tail shared by the materialized and
-    /// streaming entry points.
-    fn finish_run(
-        &self,
-        telemetry: &Telemetry,
-        span: &Span,
-        ct: &EngineCounters,
-        events_before: u64,
-        outcome: EngineOutcome,
-    ) -> SimReport {
-        telemetry
-            .counter("sim.admission_probes")
-            .add(outcome.probes);
-        if telemetry.is_enabled() {
-            let events = ct.events() - events_before;
-            telemetry.counter("sim.events").add(events);
-            // In the decoupled path this is the *sum* of per-shard
-            // peaks — an upper bound on the cluster-wide peak, which no
-            // single queue observes there.
-            telemetry
-                .histogram("sim.queue.peak_len")
-                .observe(outcome.peak_len as f64);
-            let elapsed = span.elapsed_secs();
-            if elapsed > 0.0 {
-                let rate = events as f64 / elapsed;
-                // `sim.events_per_sec` is the historical name; the
-                // `sim.engine.`-prefixed twin keys BENCH_*.json-style
-                // trajectories derived from run manifests.
-                telemetry.histogram("sim.events_per_sec").observe(rate);
-                telemetry
-                    .histogram("sim.engine.events_per_sec")
-                    .observe(rate);
-            }
-        }
-        outcome.metrics.finish(self.config.horizon_min)
-    }
-
-    /// The server-group partition for the decoupled parallel path, or
-    /// `None` when the run must stay on the serial loop: sharding is
-    /// only sound when no event can cross server groups, i.e. no
-    /// failure injection (rack/correlated failures strike whole server
-    /// sets), a fully passive admission pipeline (the FIFO queue and
-    /// its patience RNG are cluster-scoped), no shared backbone pool —
-    /// and a replica graph that actually partitions.
-    fn decoupled_plan(&self) -> Option<ShardPlan> {
-        if self.config.shards <= 1 {
-            return None;
-        }
-        if !self.config.failures.is_empty() || self.config.failure_model.is_some() {
-            return None;
-        }
-        if !self.config.admission.is_passive() {
-            return None;
-        }
-        if matches!(self.config.policy, AdmissionPolicy::BackboneRedirect { .. }) {
-            return None;
-        }
-        // The online controller senses cluster-wide demand and moves
-        // replicas across server groups: inherently coupling.
-        if self.config.controller.enabled() {
-            return None;
-        }
-        // A coded stream fans out over k servers, so the replica graph
-        // cannot decouple; all-replicated layouts are unaffected.
-        if self.layout.any_coded() {
-            return None;
-        }
-        let plan = ShardPlan::decoupled(self.layout, self.config.shards);
-        (plan.n_shards > 1).then_some(plan)
-    }
-
-    /// The server-group partition for the bounded-lookahead windowed
-    /// executor, or `None` when a coupled run must stay on the plain
-    /// serial loop. Unlike [`Simulation::decoupled_plan`], coupling
-    /// features (failures, brownouts, the online controller, an active
-    /// admission pipeline) are allowed — their next event *bounds* each
-    /// window instead of vetoing parallelism. What still vetoes it:
-    /// routing state that is cluster-scoped per request (the backbone
-    /// pool), streams that span server groups (coded layouts), and a
-    /// replica graph that does not partition at all.
-    fn windowed_plan(&self) -> Option<ShardPlan> {
-        if !self.config.window.enabled || self.config.shards <= 1 {
-            return None;
-        }
-        if matches!(self.config.policy, AdmissionPolicy::BackboneRedirect { .. }) {
-            return None;
-        }
-        if self.layout.any_coded() {
-            return None;
-        }
-        let plan = ShardPlan::decoupled(self.layout, self.config.shards);
-        (plan.n_shards > 1).then_some(plan)
-    }
-
-    /// Runs one full mini-engine per server group on scoped worker
-    /// threads and merges the results in shard-index order. The merge
-    /// is exact: every shard-local total is an integer (or has disjoint
-    /// support across shards), and load samples are *replayed* on the
-    /// coordinator — each sample instant's per-shard load vectors sum
-    /// into the full cluster vector, which feeds the same
-    /// [`MetricsCollector::sample_loads`] sequence the serial loop
-    /// executes. The result is byte-identical to `shards: 1`.
-    fn run_decoupled<F, I>(
-        &self,
-        telemetry: &Telemetry,
-        ct: &EngineCounters,
-        plan: &ShardPlan,
-        make_stream: F,
-    ) -> Result<EngineOutcome, ModelError>
-    where
-        F: Fn(usize) -> I + Sync,
-        I: Iterator<Item = Request>,
-    {
-        // No per-shard request clone: every worker walks the full
-        // arrival stream — a borrowed slice iterator over the shared
-        // trace, or a replayed clone of a streaming source — and keeps
-        // the requests its server group owns. Videos the plan does not
-        // map fall to shard 0, whose engine pass surfaces the same
-        // `UnknownVideo` error the old partition pre-pass raised.
-        let make_stream = &make_stream;
-        let results: Vec<Result<(EngineOutcome, u64), ModelError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..plan.n_shards)
-                .map(|k| {
-                    scope.spawn(move || {
-                        // Each worker binds its own counter handles to
-                        // the shared registry: cross-thread sums are
-                        // exact, whatever the interleaving.
-                        let ct = EngineCounters::new(telemetry);
-                        let mut seen = 0u64;
-                        let owned = make_stream(k).inspect(|_| seen += 1).filter(|r: &Request| {
-                            plan.video_shard
-                                .get(r.video.index())
-                                .map_or(k == 0, |&s| s as usize == k)
-                        });
-                        let outcome = self.run_core(owned, telemetry, &ct, 1, true)?;
-                        Ok((outcome, seen))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or(Err(ModelError::Internal {
-                        context: "shard worker panicked",
-                    }))
-                })
-                .collect()
-        });
-        let mut shards = Vec::with_capacity(results.len());
-        let mut seen_counts = Vec::with_capacity(results.len());
-        for r in results {
-            let (outcome, seen) = r?;
-            shards.push(outcome);
-            seen_counts.push(seen);
-        }
-        // Every worker saw the same stream, so the pre-filter counts
-        // must agree — the cross-worker replay integrity check.
-        if seen_counts.windows(2).any(|w| w[0] != w[1]) {
-            return Err(ModelError::Internal {
-                context: "shard workers disagreed on the arrival stream length",
-            });
-        }
-        let total_seen = seen_counts.first().copied().unwrap_or(0);
-
-        let mut merged = MetricsCollector::new(self.catalog.len());
-        merged.record_series(self.config.record_series);
-        let mut probes = 0u64;
-        let mut peak_len = 0usize;
-        let n_samples = shards.first().map(|s| s.samples.len()).unwrap_or(0);
-        let mut sample_grid = Vec::with_capacity(shards.len());
-        for (k, mut shard) in shards.into_iter().enumerate() {
-            if shard.samples.len() != n_samples {
-                return Err(ModelError::Internal {
-                    context: "shard sample schedules diverged",
-                });
-            }
-            let (arrivals, admitted, _, _) = shard.metrics.outcome_totals();
-            // Every admitted stream departs exactly once and no
-            // transition/retry/abandonment exists here, so the shard's
-            // event count is arrivals + departures (samples are the
-            // coordinator's, below).
-            telemetry
-                .shard_counter(ShardInstrument::Events, k)
-                .add(arrivals + admitted);
-            probes += shard.probes;
-            peak_len += shard.peak_len;
-            sample_grid.push(std::mem::take(&mut shard.samples));
-            merged.absorb(shard.metrics);
-        }
-
-        // Replay the sample schedule exactly as the serial loop runs
-        // it: same instants, same repeated float accumulation of
-        // `next_sample_min`, and per-server loads that are the
-        // elementwise sums of the shard vectors (disjoint support, so
-        // each entry is one shard's value plus exact zeros).
-        let mut full = vec![0.0f64; self.cluster.len()];
-        let mut next_sample_min = 0.0f64;
-        for i in 0..n_samples {
-            full.iter_mut().for_each(|x| *x = 0.0);
-            for shard_samples in &sample_grid {
-                for (acc, &x) in full.iter_mut().zip(&shard_samples[i]) {
-                    *acc += x;
-                }
-            }
-            ct.samples.inc();
-            merged.sample_loads(&full, next_sample_min);
-            next_sample_min += self.config.sample_interval_min;
-        }
-
-        // Merged-view audit: the per-shard auditors checked their own
-        // state after every event; the coordinator re-checks request
-        // conservation over the merged ledger.
-        let (arrivals, admitted, rejected, abandoned) = merged.outcome_totals();
-        if admitted + rejected + abandoned != arrivals || arrivals != total_seen {
-            return Err(ModelError::InvariantViolation {
-                at_min: self.config.horizon_min,
-                what: format!(
-                    "sharded merge lost request outcomes: \
-                     {admitted} admitted + {rejected} rejected + {abandoned} abandoned \
-                     != {arrivals} arrivals ({total_seen} in stream)"
-                ),
-            });
-        }
-
-        Ok(EngineOutcome {
-            metrics: merged,
-            samples: Vec::new(),
-            probes,
-            peak_len,
-            queue_pushes: Vec::new(),
-        })
-    }
-
-    /// The serial event loop over a pulled arrival stream, shared by
-    /// the plain engine (full trace or streaming source,
-    /// `capture_samples: false`) and the decoupled workers (one server
-    /// group's ownership-filtered view, `capture_samples: true` — load
-    /// samples are logged raw for the coordinator's replay instead of
-    /// folded into the collector). Arrivals are consumed lazily, one at
-    /// a time, merged against the `(time, seq)` event queue; the loop
-    /// never needs the stream's length or its backing storage.
-    fn run_core<I>(
-        &self,
-        requests: I,
-        telemetry: &Telemetry,
-        ct: &EngineCounters,
-        queue_shards: usize,
-        capture_samples: bool,
-    ) -> Result<EngineOutcome, ModelError>
-    where
-        I: Iterator<Item = Request>,
-    {
         // Hot per-video state, struct-of-arrays: the arrival loop reads
         // one u32 rate word and one u32 duration word per request
         // instead of chasing the catalog's full `Video` records.
         let videos = VideoTable::new(self.catalog)?;
-        let mut state = self.build_state(queue_shards, capture_samples, None)?;
+        let mut state = self.build_state()?;
         for req in requests {
             let t = SimTime::from_min(req.arrival_min);
-            state.advance_to(t, ct)?;
-            self.arrival_body(&mut state, &videos, t, req.video, ct)?;
+            state.advance_to(t, &ct)?;
+            let video = req.video;
+            let (kbps, duration_s) = videos
+                .get(video.index())
+                .ok_or(ModelError::UnknownVideo(video))?;
+            ct.arrivals.inc();
+            state.metrics.on_arrival(video.index());
+            state.metrics.on_offered(kbps, duration_s);
+            if let Some(d) = state.drift.as_mut() {
+                // The controller senses *observed* offered demand, never
+                // the generator's true rates.
+                d.observe(video.index());
+            }
+            state.handle_request(
+                t,
+                PendingRequest {
+                    video,
+                    kbps,
+                    duration_s,
+                    arrived: t,
+                    retries_left: self.config.admission.max_retries,
+                    attempt: 0,
+                },
+                &ct,
+            );
+            state.audit_check(t)?;
+            debug_assert!(state.links.within_capacity());
         }
-        self.finish_core(state, telemetry, ct)
+        let report = self.finish_core(state, telemetry, &ct)?;
+        if telemetry.is_enabled() {
+            let events = ct.events() - events_before;
+            telemetry.counter("sim.events").add(events);
+            let elapsed = span.elapsed_secs();
+            if elapsed > 0.0 {
+                telemetry
+                    .histogram("sim.engine.events_per_sec")
+                    .observe(events as f64 / elapsed);
+            }
+        }
+        Ok(report)
     }
 
-    /// Binds the mutable run-loop state for one engine pass: compiled
-    /// failure transitions, the actuation layer, coded-serving state
-    /// and the departure queue — split by the windowed plan's server
-    /// groups when one is given, by contiguous server blocks otherwise.
-    fn build_state(
-        &self,
-        queue_shards: usize,
-        capture_samples: bool,
-        window_plan: Option<ShardPlan>,
-    ) -> Result<RunState<'a>, ModelError> {
+    /// Binds the mutable run-loop state: compiled failure transitions,
+    /// the actuation layer, coded-serving state and the departure queue.
+    fn build_state(&self) -> Result<RunState<'a>, ModelError> {
         // Fixed outages plus, when configured, the stochastic model's
         // draws for this horizon (deterministic per the model's seed).
         // The compiled plan is consumed, not cloned, and the fixed plan
@@ -735,21 +397,11 @@ impl<'a> Simulation<'a> {
             c
         });
 
-        // The windowed executor's sub-queues must coincide with the
-        // plan's server groups so a whole group's due departures check
-        // out as one unit; every other path keeps the contiguous block
-        // split (pop order is owner-map independent either way).
-        let departures = match &window_plan {
-            Some(plan) => {
-                ShardedDepartureQueue::with_owner(plan.server_shard.clone(), plan.n_shards)
-            }
-            None => ShardedDepartureQueue::new(self.cluster.len(), queue_shards),
-        };
         let mut state = RunState {
             links: LinkState::new(self.cluster),
             dispatcher: Dispatcher::new(self.config.policy, self.catalog.len()),
             metrics: MetricsCollector::new(self.catalog.len()),
-            departures,
+            departures: DepartureQueue::with_capacity(self.cluster.len()),
             controller,
             coded,
             rack_of,
@@ -773,64 +425,21 @@ impl<'a> Simulation<'a> {
             load_scratch: Vec::new(),
             extract_scratch: Vec::new(),
             fifo_scratch: Vec::new(),
-            sample_log: capture_samples.then(Vec::new),
-            window_plan,
-            window_poisoned: false,
         };
         state.metrics.record_series(self.config.record_series);
         Ok(state)
     }
 
-    /// One arrival at `t`: catalog lookup, offered-demand accounting,
-    /// drift sensing and the admission pipeline — the per-request body
-    /// both the serial loop and the windowed wrapper's fallback run.
-    fn arrival_body(
-        &self,
-        state: &mut RunState,
-        videos: &VideoTable,
-        t: SimTime,
-        video: VideoId,
-        ct: &EngineCounters,
-    ) -> Result<(), ModelError> {
-        let (kbps, duration_s) = videos
-            .get(video.index())
-            .ok_or(ModelError::UnknownVideo(video))?;
-
-        ct.arrivals.inc();
-        state.metrics.on_arrival(video.index());
-        state.metrics.on_offered(kbps, duration_s);
-        if let Some(d) = state.drift.as_mut() {
-            // The controller senses *observed* offered demand, never
-            // the generator's true rates.
-            d.observe(video.index());
-        }
-        state.handle_request(
-            t,
-            PendingRequest {
-                video,
-                kbps,
-                duration_s,
-                arrived: t,
-                retries_left: self.config.admission.max_retries,
-                attempt: 0,
-            },
-            ct,
-        );
-        state.audit_check(t)?;
-        debug_assert!(state.links.within_capacity());
-        Ok(())
-    }
-
-    /// Horizon tail shared by every engine pass: runs the remaining
-    /// background events, settles the admission pipeline and brownout
-    /// windows, releases post-horizon streams and folds the
-    /// feature-gated telemetry.
+    /// Horizon tail: runs the remaining background events, settles the
+    /// admission pipeline and brownout windows, releases post-horizon
+    /// streams, folds the feature-gated telemetry and finalizes the
+    /// report.
     fn finish_core(
         &self,
         mut state: RunState,
         telemetry: &Telemetry,
         ct: &EngineCounters,
-    ) -> Result<EngineOutcome, ModelError> {
+    ) -> Result<SimReport, ModelError> {
         // Tail: run the remaining background events out to the horizon,
         // abort any still-in-flight repair copies (releasing their
         // reservations), then retire whatever still streams past it.
@@ -947,309 +556,25 @@ impl<'a> Simulation<'a> {
                 .counter("sim.brownout.active_min")
                 .add(state.brownout_min.ceil() as u64);
         }
-        if telemetry.is_enabled() && state.departures.peak_len() > 0 {
-            // Queue backing storage amortized over the concurrency
-            // peak: the marginal resident cost of one active stream.
-            // The memory-smoke CI step gates on this staying under the
-            // ceiling documented in DESIGN.md §7.
+        telemetry
+            .counter("sim.admission_probes")
+            .add(state.dispatcher.admission_probes());
+        if telemetry.is_enabled() {
+            let peak_len = state.departures.peak_len();
             telemetry
-                .histogram("sim.engine.bytes_per_active_stream")
-                .observe(state.departures.mem_bytes() as f64 / state.departures.peak_len() as f64);
-        }
-        Ok(EngineOutcome {
-            samples: state.sample_log.take().unwrap_or_default(),
-            probes: state.dispatcher.admission_probes(),
-            peak_len: state.departures.peak_len(),
-            queue_pushes: state.departures.per_shard_pushes().to_vec(),
-            metrics: state.metrics,
-        })
-    }
-
-    /// The coupled engine loop under bounded-lookahead windowed
-    /// parallelism (DESIGN.md §7). Between cluster-scoped events the
-    /// plan's server groups evolve independently, so the wrapper
-    /// repeatedly computes a safe horizon `h` — the earliest next
-    /// failure/brownout transition, control tick, load sample, repair
-    /// completion, or `window.max_span_min` from now — and executes
-    /// every group's arrivals and due departures strictly before `h`
-    /// in parallel, then merges exactly at a barrier.
-    ///
-    /// Exactness: the coordinator pre-pass fixes all cluster-scoped
-    /// order (arrival counters, drift sensing, round-robin positions,
-    /// departure sequence numbers) in global arrival order; group
-    /// workers touch only server-disjoint link state and their own
-    /// sub-queue; every merged total is an integer sum (or a sum of
-    /// exact-zero waits), so the report is byte-identical to the
-    /// serial loop at any shard count. Windows too short to amortize
-    /// the barrier, contended non-passive windows, and runs whose
-    /// repair copies cross groups (poisoning) degrade to the serial
-    /// per-arrival body — same code, same bytes.
-    fn run_windowed(
-        &self,
-        trace: &Trace,
-        telemetry: &Telemetry,
-        ct: &EngineCounters,
-        plan: ShardPlan,
-    ) -> Result<EngineOutcome, ModelError> {
-        let videos = VideoTable::new(self.catalog)?;
-        let n_groups = plan.n_shards;
-        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        for (j, &g) in plan.server_shard.iter().enumerate() {
-            owned[g as usize].push(j);
-        }
-        let queue_shards = self.config.shards.min(self.cluster.len()).max(1);
-        let mut state = self.build_state(queue_shards, false, Some(plan))?;
-
-        // Persistent per-group link replicas: owned servers sync
-        // master -> replica at window open and back at the barrier, so
-        // each window moves O(group) words, never whole-cluster clones.
-        let mut group_links: Vec<LinkState> = (0..n_groups)
-            .map(|_| LinkState::new(self.cluster))
-            .collect();
-        let mut records: Vec<WindowArrival> = Vec::new();
-        let mut grouped: Vec<WindowArrival> = Vec::new();
-        let mut starts: Vec<usize> = vec![0; n_groups];
-        let mut counts: Vec<usize> = vec![0; n_groups];
-        let mut cursors: Vec<usize> = vec![0; n_groups];
-        let mut demand: Vec<u64> = vec![0; self.cluster.len()];
-        let win = WindowCounters::new(telemetry);
-        let min_arrivals = self.config.window.min_events.max(1) as usize;
-        let max_span = self.config.window.max_span_min;
-        let passive = self.config.admission.is_passive();
-        let policy = self.config.policy;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-
-        let reqs = trace.requests();
-        let mut i = 0usize;
-        'arrivals: while i < reqs.len() {
-            let t = SimTime::from_min(reqs[i].arrival_min);
-            state.advance_to(t, ct)?;
-
-            'window: {
-                if state.window_poisoned
-                    || state.admission.in_flight() > 0
-                    || state.controller.as_ref().is_some_and(|c| c.has_pending())
-                {
-                    break 'window;
-                }
-                // Safe horizon: nothing cluster-scoped fires strictly
-                // before `h`, so no event below it crosses groups.
-                let mut h = t + SimTime::from_min(max_span);
-                for at in [
-                    state.transitions.get(state.next_transition).map(|x| x.at),
-                    state.next_ctrl_at,
-                    state.next_sample_at,
-                    state.controller.as_ref().and_then(|c| c.next_completion()),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    h = h.min(at);
-                }
-                if h <= t {
-                    break 'window;
-                }
-                let mut j = i;
-                while j < reqs.len() && SimTime::from_min(reqs[j].arrival_min) < h {
-                    j += 1;
-                }
-                if j - i < min_arrivals {
-                    // Too short to amortize a barrier: coalesce into
-                    // the serial fallback below.
-                    win.coalesced.inc();
-                    break 'window;
-                }
-
-                // Stage the window's arrivals. An out-of-catalog id
-                // falls back to the serial body, which surfaces the
-                // same `UnknownVideo` error at the same request.
-                let plan = state.window_plan.as_ref().ok_or(ModelError::Internal {
-                    context: "windowed run lost its plan",
-                })?;
-                records.clear();
-                for r in &reqs[i..j] {
-                    let Some((kbps, duration_s)) = videos.get(r.video.index()) else {
-                        break 'window;
-                    };
-                    records.push(WindowArrival {
-                        at: SimTime::from_min(r.arrival_min),
-                        video: r.video,
-                        kbps,
-                        duration_s,
-                        group: plan.video_shard[r.video.index()],
-                        start: 0,
-                        seq: 0,
-                    });
-                }
-
-                if !passive {
-                    // A non-passive pipeline is only inert in-window if
-                    // every arrival provably admits at full rate — then
-                    // the FIFO queue, patience RNG, retry timers and
-                    // degrade ladder all stay untouched. Sufficient
-                    // bound: per server, the summed full-rate demand of
-                    // every window arrival that *could* land on it fits
-                    // its free capacity (down servers admit nothing, so
-                    // up-ness is implied).
-                    demand.iter_mut().for_each(|d| *d = 0);
-                    for rec in &records {
-                        let replicas = match state.controller.as_ref() {
-                            Some(c) => c.holders(rec.video),
-                            None => state.layout.replicas_of(rec.video),
-                        };
-                        for &s in replicas {
-                            demand[s.index()] += rec.kbps;
-                        }
-                    }
-                    let fits = demand
-                        .iter()
-                        .enumerate()
-                        .all(|(s, &d)| d == 0 || state.links.can_admit(ServerId(s as u32), d));
-                    if !fits {
-                        // Contended window: step one arrival serially
-                        // and re-probe at the next.
-                        win.stalls.inc();
-                        break 'window;
-                    }
-                }
-
-                // Commit: fix all cluster-scoped order here, in global
-                // arrival order, so workers never race for it.
-                let seq_base = state.departures.reserve_seqs((j - i) as u64);
-                for (r, rec) in records.iter_mut().enumerate() {
-                    rec.seq = seq_base + r as u64;
-                    ct.arrivals.inc();
-                    state.metrics.on_arrival(rec.video.index());
-                    state.metrics.on_offered(rec.kbps, rec.duration_s);
-                    if let Some(d) = state.drift.as_mut() {
-                        d.observe(rec.video.index());
-                    }
-                    if !matches!(policy, AdmissionPolicy::LeastLoadedReplica) {
-                        let n_replicas = match state.controller.as_ref() {
-                            Some(c) => c.holders(rec.video).len(),
-                            None => state.layout.replicas_of(rec.video).len(),
-                        };
-                        rec.start = state.dispatcher.rr_advance(rec.video, n_replicas) as u32;
-                    }
-                }
-
-                // Counting-sort the staged arrivals into contiguous
-                // per-group runs (stable, so each run keeps global
-                // arrival order): a worker then scans exactly its own
-                // slice instead of filtering the whole window, which
-                // would cost `groups × window` comparisons per window.
-                counts.iter_mut().for_each(|c| *c = 0);
-                for rec in &records {
-                    counts[rec.group as usize] += 1;
-                }
-                let mut base = 0usize;
-                for (g, &c) in counts.iter().enumerate() {
-                    starts[g] = base;
-                    cursors[g] = base;
-                    base += c;
-                }
-                grouped.clear();
-                grouped.resize(records.len(), records[0]);
-                for rec in &records {
-                    let cur = &mut cursors[rec.group as usize];
-                    grouped[*cur] = *rec;
-                    *cur += 1;
-                }
-
-                // Check out each group's state and execute the window.
-                for (g, servers) in owned.iter().enumerate() {
-                    for &s in servers {
-                        group_links[g].copy_server_from(&state.links, s);
-                    }
-                }
-                let mut queues: Vec<DepartureQueue> = (0..n_groups)
-                    .map(|g| state.departures.take_shard(g))
-                    .collect();
-                let controller = state.controller.as_ref();
-                let layout = state.layout;
-                let (grouped_ref, starts_ref, counts_ref) = (&grouped, &starts, &counts);
-                let active = counts.iter().filter(|&&c| c > 0).count();
-                let deltas: Vec<WindowDelta> = if workers > 1 && active >= 2 {
-                    std::thread::scope(|scope| {
-                        group_links
-                            .iter_mut()
-                            .zip(queues.iter_mut())
-                            .enumerate()
-                            .map(|(g, (links, queue))| {
-                                let slice =
-                                    &grouped_ref[starts_ref[g]..starts_ref[g] + counts_ref[g]];
-                                scope.spawn(move || {
-                                    run_window_group(
-                                        g as u32, h, policy, slice, links, queue, controller,
-                                        layout, ct,
-                                    )
-                                })
-                            })
-                            .collect::<Vec<_>>()
-                            .into_iter()
-                            .map(|handle| {
-                                handle.join().map_err(|_| ModelError::Internal {
-                                    context: "window worker panicked",
-                                })
-                            })
-                            .collect::<Result<_, _>>()
-                    })?
-                } else {
-                    // Single core (or one busy group): identical worker
-                    // code inline — windows still open and count.
-                    group_links
-                        .iter_mut()
-                        .zip(queues.iter_mut())
-                        .enumerate()
-                        .map(|(g, (links, queue))| {
-                            let slice = &grouped_ref[starts_ref[g]..starts_ref[g] + counts_ref[g]];
-                            run_window_group(
-                                g as u32, h, policy, slice, links, queue, controller, layout, ct,
-                            )
-                        })
-                        .collect()
-                };
-
-                // Exact barrier merge: integer deltas, disjoint server
-                // state, and a queue re-assembled under the pre-assigned
-                // global sequence order.
-                let mut admitted = 0u64;
-                let mut delivered = 0u128;
-                let mut probes = 0u64;
-                let mut events = 0u64;
-                let mut last_at = t;
-                let mut rejections: Vec<(usize, u64)> = Vec::new();
-                for (g, (delta, queue)) in deltas.into_iter().zip(queues).enumerate() {
-                    state.departures.put_shard(g, queue, delta.pushes);
-                    for &s in &owned[g] {
-                        state.links.copy_server_from(&group_links[g], s);
-                    }
-                    admitted += delta.admitted;
-                    delivered += delta.delivered_kbps_s;
-                    probes += delta.probes;
-                    events += delta.events;
-                    if let Some(at) = delta.last_at {
-                        last_at = last_at.max(at);
-                    }
-                    rejections.extend(delta.rejections);
-                }
-                state.metrics.apply_window(admitted, delivered, &rejections);
-                state.dispatcher.add_probes(probes);
-                win.windows.inc();
-                win.events.add(events);
-                state.audit_check(last_at)?;
-                debug_assert!(state.links.within_capacity());
-                i = j;
-                continue 'arrivals;
+                .histogram("sim.queue.peak_len")
+                .observe(peak_len as f64);
+            if peak_len > 0 {
+                // Queue backing storage amortized over the concurrency
+                // peak: the marginal resident cost of one active stream.
+                // The memory-smoke CI step gates on this staying under
+                // the ceiling documented in DESIGN.md §7.
+                telemetry
+                    .histogram("sim.engine.bytes_per_active_stream")
+                    .observe(state.departures.mem_bytes() as f64 / peak_len as f64);
             }
-
-            // Serial fallback: one arrival through the exact coupled body.
-            self.arrival_body(&mut state, &videos, t, reqs[i].video, ct)?;
-            i += 1;
         }
-        self.finish_core(state, telemetry, ct)
+        Ok(state.metrics.finish(self.config.horizon_min))
     }
 }
 
@@ -1286,21 +611,6 @@ impl VideoTable {
     }
 }
 
-/// What one engine pass (serial run or decoupled shard worker) hands
-/// back for finalization.
-struct EngineOutcome {
-    metrics: MetricsCollector,
-    /// Raw per-sample load vectors, non-empty only for decoupled shard
-    /// workers (`capture_samples: true`).
-    samples: Vec<Vec<f64>>,
-    /// Dispatcher admission probes (summed across shards when merged).
-    probes: u64,
-    /// Peak scheduled departures (summed across shards when merged).
-    peak_len: usize,
-    /// Pushes per departure sub-queue (empty for merged outcomes).
-    queue_pushes: Vec<u64>,
-}
-
 /// Telemetry counter handles used by the run loop.
 struct EngineCounters {
     arrivals: Counter,
@@ -1322,8 +632,6 @@ struct EngineCounters {
 
 impl EngineCounters {
     /// Binds the engine's counter handles to `telemetry`'s registry.
-    /// Handle sets bound to the same registry (e.g. one per shard
-    /// worker) share the underlying atomics.
     fn new(telemetry: &Telemetry) -> Self {
         EngineCounters {
             arrivals: telemetry.counter("sim.arrivals"),
@@ -1353,168 +661,6 @@ impl EngineCounters {
             + self.retried.get()
             + self.abandoned.get()
     }
-}
-
-/// One arrival staged for a parallel window, with every cluster-scoped
-/// decision (round-robin start position, global departure sequence
-/// number) pre-assigned by the coordinator in serial arrival order.
-#[derive(Clone, Copy)]
-struct WindowArrival {
-    at: SimTime,
-    video: VideoId,
-    kbps: u64,
-    duration_s: u64,
-    /// The server group that serves this video under the window plan.
-    group: u32,
-    /// Pre-advanced round-robin position (unused by least-loaded).
-    start: u32,
-    /// Pre-assigned global departure sequence number.
-    seq: u64,
-}
-
-/// One group's integer-exact outcome for a window, merged at the barrier.
-#[derive(Default)]
-struct WindowDelta {
-    admitted: u64,
-    delivered_kbps_s: u128,
-    /// Sparse per-video rejection counts `(video index, count)`.
-    rejections: Vec<(usize, u64)>,
-    /// Admission-scan probes, folded into the dispatcher at the barrier.
-    probes: u64,
-    /// Departures pushed, for the sub-queue's push telemetry.
-    pushes: u64,
-    /// Arrival + departure events executed inside the window.
-    events: u64,
-    /// Latest event instant handled (drives the barrier's audit check).
-    last_at: Option<SimTime>,
-}
-
-/// `sim.window.*` telemetry: windowed-executor health counters.
-struct WindowCounters {
-    /// Windows opened (parallel or inline).
-    windows: Counter,
-    /// Events (arrivals + departures) executed inside windows.
-    events: Counter,
-    /// Candidate windows coalesced into the serial path for being
-    /// shorter than `window.min_events`.
-    coalesced: Counter,
-    /// Barrier stalls: non-passive windows whose headroom check failed,
-    /// stepping one arrival serially instead.
-    stalls: Counter,
-}
-
-impl WindowCounters {
-    fn new(telemetry: &Telemetry) -> Self {
-        WindowCounters {
-            windows: telemetry.counter("sim.window.windows"),
-            events: telemetry.counter("sim.window.events"),
-            coalesced: telemetry.counter("sim.window.coalesced"),
-            stalls: telemetry.counter("sim.window.stalls"),
-        }
-    }
-}
-
-/// Executes one server group's slice of a window: its arrivals (the
-/// coordinator's counting-sorted per-group run, still in global
-/// order), interleaved exactly with the group sub-queue's due
-/// departures, all strictly before horizon `h`.
-///
-/// Runs against the group's private [`LinkState`] replica and
-/// [`DepartureQueue`] shard, so concurrent calls for different groups
-/// share nothing mutable. Telemetry counters are shared atomics — order
-/// of increments is unobservable in the report. Everything
-/// order-sensitive returns in the [`WindowDelta`] for the serial
-/// barrier merge.
-#[allow(clippy::too_many_arguments)]
-fn run_window_group(
-    group: u32,
-    h: SimTime,
-    policy: AdmissionPolicy,
-    records: &[WindowArrival],
-    links: &mut LinkState,
-    queue: &mut DepartureQueue,
-    controller: Option<&ReplicaActuator>,
-    layout: &Layout,
-    ct: &EngineCounters,
-) -> WindowDelta {
-    let mut delta = WindowDelta::default();
-
-    /// Pops the next due departure (`at <= bound`) and releases its
-    /// bandwidth exactly as the serial pump's `NO_STREAM` branch does.
-    /// Window eligibility guarantees no backbone or coded-stream
-    /// departures exist on this path.
-    fn pop_due_departure(
-        queue: &mut DepartureQueue,
-        links: &mut LinkState,
-        bound: SimTime,
-        ct: &EngineCounters,
-        delta: &mut WindowDelta,
-    ) {
-        let d = queue
-            .pop_due(bound)
-            .expect("window departure due but queue empty");
-        ct.departures.inc();
-        delta.events += 1;
-        delta.last_at = Some(d.at);
-        debug_assert_eq!(d.stream, NO_STREAM);
-        debug_assert_eq!(d.backbone_kbps, 0);
-        if links.epoch(d.server) == d.epoch {
-            links.release(d.server, d.kbps);
-        }
-    }
-
-    for rec in records {
-        debug_assert_eq!(rec.group, group);
-        while queue.next_key().is_some_and(|(at, _)| at <= rec.at) {
-            pop_due_departure(queue, links, rec.at, ct, &mut delta);
-        }
-        let replicas = match controller {
-            Some(c) => c.holders(rec.video),
-            None => layout.replicas_of(rec.video),
-        };
-        let (decision, probes) =
-            Dispatcher::route(policy, rec.start as usize, rec.kbps, replicas, links);
-        delta.probes += probes;
-        delta.events += 1;
-        delta.last_at = Some(rec.at);
-        match decision {
-            Decision::Admit { server, .. } => {
-                links.admit(server, rec.kbps);
-                ct.admitted.inc();
-                ct.wait_min.observe(0.0);
-                delta.admitted += 1;
-                delta.delivered_kbps_s += rec.kbps as u128 * rec.duration_s as u128;
-                queue.push_with_seq(
-                    Departure {
-                        at: rec.at + SimTime::from_secs(rec.duration_s),
-                        server,
-                        video: rec.video,
-                        kbps: rec.kbps,
-                        backbone_kbps: 0,
-                        epoch: links.epoch(server),
-                        stream: NO_STREAM,
-                    },
-                    rec.seq,
-                );
-                delta.pushes += 1;
-            }
-            Decision::Reject => {
-                ct.rejected.inc();
-                let v = rec.video.index();
-                match delta.rejections.iter_mut().find(|(i, _)| *i == v) {
-                    Some((_, n)) => *n += 1,
-                    None => delta.rejections.push((v, 1)),
-                }
-            }
-        }
-    }
-    // Drain departures falling after the last arrival but before the
-    // horizon — the serial loop would pump them before whatever
-    // cluster-scoped event sits at `h`.
-    while queue.next_key().is_some_and(|(at, _)| at < h) {
-        pop_due_departure(queue, links, h, ct, &mut delta);
-    }
-    delta
 }
 
 /// How a failing server's stream fared under failover.
@@ -1565,7 +711,7 @@ struct RunState<'a> {
     links: LinkState,
     dispatcher: Dispatcher,
     metrics: MetricsCollector,
-    departures: ShardedDepartureQueue,
+    departures: DepartureQueue,
     controller: Option<ReplicaActuator>,
     /// Coded-serving state (`None` for all-replicated layouts).
     coded: Option<CodedState>,
@@ -1599,23 +745,10 @@ struct RunState<'a> {
     brownout_min: f64,
     /// Reusable buffer for per-sample stream loads.
     load_scratch: Vec<f64>,
-    /// When `Some`, raw per-sample load vectors are logged here instead
-    /// of being folded into `metrics` (decoupled shard workers log;
-    /// the coordinator replays the merged vectors — see
-    /// [`Simulation::run_decoupled`]).
-    sample_log: Option<Vec<Vec<f64>>>,
     /// Reusable buffer for failover extractions.
     extract_scratch: Vec<Departure>,
     /// Reusable buffer for FIFO queue drains.
     fifo_scratch: Vec<u64>,
-    /// The windowed executor's server-group plan (`None` on every other
-    /// path). `advance_to` checks repair completions against it: a copy
-    /// integrated outside the video's own group breaks the plan's
-    /// group-disjointness, permanently poisoning further windows.
-    window_plan: Option<ShardPlan>,
-    /// Set once a cross-group repair lands; the wrapper then runs
-    /// serially for the rest of the pass.
-    window_poisoned: bool,
 }
 
 impl RunState<'_> {
@@ -1673,14 +806,7 @@ impl RunState<'_> {
                 let c = self.controller.as_mut().ok_or(ModelError::Internal {
                     context: "repair completion due without a controller",
                 })?;
-                let (video, dst) = c.complete_next(&mut self.links, &mut self.dispatcher)?;
-                if let Some(plan) = self.window_plan.as_ref() {
-                    if plan.video_shard.get(video.index()).copied()
-                        != plan.server_shard.get(dst.index()).copied()
-                    {
-                        self.window_poisoned = true;
-                    }
-                }
+                c.complete_next(&mut self.links, &mut self.dispatcher)?;
                 self.drain_queue(min_at, ct);
             } else if tr_at == Some(min_at) {
                 let tr = self.transitions[self.next_transition];
@@ -1728,16 +854,9 @@ impl RunState<'_> {
                 self.handle_request(min_at, req, ct);
             } else if sample_at == Some(min_at) {
                 self.links.stream_loads_into(&mut self.load_scratch);
-                if let Some(log) = self.sample_log.as_mut() {
-                    // Decoupled shard worker: defer the statistics to
-                    // the coordinator's merged replay so the float
-                    // accumulation order matches the serial engine.
-                    log.push(self.load_scratch.clone());
-                } else {
-                    ct.samples.inc();
-                    self.metrics
-                        .sample_loads(&self.load_scratch, self.next_sample_min);
-                }
+                ct.samples.inc();
+                self.metrics
+                    .sample_loads(&self.load_scratch, self.next_sample_min);
                 self.next_sample_min += self.sample_step;
                 self.next_sample_at = (self.next_sample_min <= self.horizon)
                     .then(|| SimTime::from_min(self.next_sample_min));
@@ -1791,10 +910,7 @@ impl RunState<'_> {
                 Some(c) => c.holders_all(),
                 None => self.layout.assignments(),
             };
-            self.auditor
-                .as_ref()
-                .expect("auditor vanished")
-                .check_placement(at, holders, &cs.schemes, &self.rack_of)?;
+            aud.check_placement(at, holders, &cs.schemes, &self.rack_of)?;
         }
         Ok(())
     }
@@ -2916,8 +2032,10 @@ mod tests {
         // 90-min horizon, 1-min cadence: samples at 0..=90.
         assert_eq!(snap.counter("sim.samples"), 91);
         assert_eq!(snap.histogram("sim.run").count, 1);
-        assert_eq!(snap.histogram("sim.events_per_sec").count, 1);
-        assert!(snap.histogram("sim.events_per_sec").min > 0.0);
+        assert_eq!(snap.histogram("sim.engine.events_per_sec").count, 1);
+        assert!(snap.histogram("sim.engine.events_per_sec").min > 0.0);
+        // One rate histogram per run, under the `sim.engine.` name only.
+        assert_eq!(snap.histogram("sim.events_per_sec").count, 0);
         assert_eq!(
             snap.counter("sim.events"),
             r.arrivals + r.admitted + 91 // arrivals + departures + samples
@@ -2950,396 +2068,6 @@ mod tests {
             Simulation::new(&catalog, &cluster, &layout, cfg),
             Err(ModelError::UnknownServer(ServerId(9)))
         ));
-    }
-
-    /// Four independent pods of two servers each; every video's replica
-    /// set stays inside one pod, so the decoupled plan splits 4 ways.
-    fn pods_world() -> (Catalog, ClusterSpec, Layout) {
-        let catalog = Catalog::fixed_rate(16, BitRate::MPEG2, 600).unwrap();
-        let cluster = ClusterSpec::homogeneous(
-            8,
-            ServerSpec {
-                storage_bytes: u64::MAX,
-                bandwidth_kbps: 16_000,
-            },
-        )
-        .unwrap();
-        let layout = Layout::new(
-            8,
-            (0..16)
-                .map(|v| {
-                    let pod = (v % 4) as u32;
-                    vec![ServerId(2 * pod), ServerId(2 * pod + 1)]
-                })
-                .collect(),
-        )
-        .unwrap();
-        (catalog, cluster, layout)
-    }
-
-    fn pods_trace() -> Trace {
-        Trace::new(
-            (0..200)
-                .map(|k| req(k as f64 * 0.4, k % 16))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn decoupled_sharded_run_is_byte_identical_to_serial() {
-        let (catalog, cluster, layout) = pods_world();
-        let trace = pods_trace();
-        let serial =
-            Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
-        let sharded = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 4,
-                ..SimConfig::paper_default()
-            },
-        )
-        .unwrap();
-        let a = serial.run(&trace).unwrap();
-        let telemetry = Telemetry::enabled();
-        let b = sharded.run_with_telemetry(&trace, &telemetry).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        // The decoupled parallel path (not the serial fallback) ran:
-        // per-shard event counters were published for all four pods.
-        let snap = telemetry.snapshot();
-        for k in 0..4 {
-            assert!(snap.counter(&format!("sim.shard.events.{k:02}")) > 0);
-        }
-        assert_eq!(snap.counter("sim.arrivals"), a.arrivals);
-        assert_eq!(snap.counter("sim.admitted"), a.admitted);
-        assert_eq!(snap.counter("sim.samples"), 91);
-    }
-
-    #[test]
-    fn coupled_sharded_run_is_byte_identical_to_serial() {
-        // An injected outage forces the coupled fallback: the serial
-        // loop runs over a sharded departure queue whose merge order
-        // must replay the single-queue order exactly.
-        let (catalog, cluster, layout) = pods_world();
-        let trace = pods_trace();
-        let outage = Outage {
-            server: ServerId(2),
-            down_at_min: 20.0,
-            up_at_min: Some(55.0),
-        };
-        let serial =
-            Simulation::new(&catalog, &cluster, &layout, failing_cfg(vec![outage])).unwrap();
-        let sharded = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 8,
-                // Windowing off: this test pins the *serial* coupled
-                // loop's split-queue merge order (and its per-server
-                // sub-queue telemetry, which the window plan's
-                // pod-grouped queues would reshape).
-                window: WindowConfig {
-                    enabled: false,
-                    ..WindowConfig::default()
-                },
-                ..failing_cfg(vec![outage])
-            },
-        )
-        .unwrap();
-        let a = serial.run(&trace).unwrap();
-        let telemetry = Telemetry::enabled();
-        let b = sharded.run_with_telemetry(&trace, &telemetry).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        // Per-shard departure-queue traffic was published: at least one
-        // push per admitted stream (failover re-pushes add more), spread
-        // over every server's sub-queue.
-        let snap = telemetry.snapshot();
-        let per_shard: Vec<u64> = (0..8)
-            .map(|k| snap.counter(&format!("sim.shard.departures.{k:02}")))
-            .collect();
-        assert!(per_shard.iter().sum::<u64>() >= a.admitted);
-        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
-    }
-
-    #[test]
-    fn windowed_coupled_run_is_byte_identical_to_serial() {
-        // Same outage-coupled world, but with windowing live: the
-        // bounded-lookahead executor must open real windows (the trace
-        // runs 2.5 arrivals/min against a 1-min sample cadence, so
-        // `min_events: 2` lets ~2-3-arrival windows through) and still
-        // reproduce the serial report byte for byte.
-        let (catalog, cluster, layout) = pods_world();
-        let trace = pods_trace();
-        let outage = Outage {
-            server: ServerId(2),
-            down_at_min: 20.0,
-            up_at_min: Some(55.0),
-        };
-        let serial =
-            Simulation::new(&catalog, &cluster, &layout, failing_cfg(vec![outage])).unwrap();
-        let windowed = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 8,
-                window: WindowConfig {
-                    min_events: 2,
-                    ..WindowConfig::default()
-                },
-                ..failing_cfg(vec![outage])
-            },
-        )
-        .unwrap();
-        let a = serial.run(&trace).unwrap();
-        let telemetry = Telemetry::enabled();
-        let b = windowed.run_with_telemetry(&trace, &telemetry).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        // The windowed executor (not wall-to-wall serial fallback) ran.
-        let snap = telemetry.snapshot();
-        assert!(snap.counter("sim.window.windows") > 0);
-        assert!(snap.counter("sim.window.events") > 0);
-        assert_eq!(snap.counter("sim.arrivals"), a.arrivals);
-        assert_eq!(snap.counter("sim.admitted"), a.admitted);
-    }
-
-    #[test]
-    fn windowed_run_with_queueing_and_controller_stays_identical() {
-        // The hardest eligible coupling mix: queue+retry admission and
-        // the online controller both live. Windows only open when the
-        // admission pipeline is provably inert and no copy is pending;
-        // everything else steps serially — the report must not move.
-        let (catalog, cluster, layout) = pods_world();
-        let trace = pods_trace();
-        let admission = crate::admission::AdmissionConfig {
-            policy: crate::admission::QueuePolicy::Queue { patience_min: 2.0 },
-            max_retries: 1,
-            retry_backoff_min: 1.0,
-            seed: 7,
-        };
-        let cfg = |shards, window| SimConfig {
-            shards,
-            window,
-            admission: admission.clone(),
-            repair: RepairConfig {
-                bandwidth_kbps: 4_000,
-                max_concurrent: 4,
-            },
-            controller: ControllerConfig {
-                tick_min: 10.0,
-                ..ControllerConfig::default()
-            },
-            ..SimConfig::paper_default()
-        };
-        let serial = cfg(
-            1,
-            WindowConfig {
-                enabled: false,
-                ..WindowConfig::default()
-            },
-        );
-        let windowed = cfg(
-            8,
-            WindowConfig {
-                min_events: 1,
-                ..WindowConfig::default()
-            },
-        );
-        let a = Simulation::new(&catalog, &cluster, &layout, serial)
-            .unwrap()
-            .run(&trace)
-            .unwrap();
-        let telemetry = Telemetry::enabled();
-        let b = Simulation::new(&catalog, &cluster, &layout, windowed)
-            .unwrap()
-            .run_with_telemetry(&trace, &telemetry)
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        let snap = telemetry.snapshot();
-        assert!(snap.counter("sim.window.windows") > 0);
-    }
-
-    #[test]
-    fn bad_window_knobs_rejected_at_bind() {
-        let (catalog, cluster, layout) = tiny_world();
-        let cfg = SimConfig {
-            window: WindowConfig {
-                min_events: 0,
-                ..WindowConfig::default()
-            },
-            ..SimConfig::paper_default()
-        };
-        assert!(matches!(
-            Simulation::new(&catalog, &cluster, &layout, cfg),
-            Err(ModelError::InvalidParameter {
-                name: "window.min_events",
-                ..
-            })
-        ));
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cfg = SimConfig {
-                window: WindowConfig {
-                    max_span_min: bad,
-                    ..WindowConfig::default()
-                },
-                ..SimConfig::paper_default()
-            };
-            assert!(
-                matches!(
-                    Simulation::new(&catalog, &cluster, &layout, cfg),
-                    Err(ModelError::InvalidParameter {
-                        name: "window.max_span_min",
-                        ..
-                    })
-                ),
-                "max_span_min {bad} accepted"
-            );
-        }
-    }
-
-    /// Twenty single-server pods — more than the 16 named
-    /// `sim.shard.*` counter slots, so shards 15..19 must fold into the
-    /// last named bucket without losing counts.
-    fn wide_pods_world() -> (Catalog, ClusterSpec, Layout) {
-        let catalog = Catalog::fixed_rate(20, BitRate::MPEG2, 600).unwrap();
-        let cluster = ClusterSpec::homogeneous(
-            20,
-            ServerSpec {
-                storage_bytes: u64::MAX,
-                bandwidth_kbps: 16_000,
-            },
-        )
-        .unwrap();
-        let layout = Layout::new(20, (0..20).map(|v| vec![ServerId(v)]).collect()).unwrap();
-        (catalog, cluster, layout)
-    }
-
-    fn wide_pods_trace() -> Trace {
-        Trace::new((0..20).map(|k| req(k as f64 * 0.1, k)).collect::<Vec<_>>()).unwrap()
-    }
-
-    #[test]
-    fn shard_event_counters_beyond_named_buckets_fold_into_last() {
-        // Decoupled path: each pod publishes arrivals + departures as
-        // its event count. Pods 0..14 land in their own buckets; pods
-        // 15..19 share bucket 15. Nothing is dropped: the buckets sum
-        // to the cluster-wide arrivals + admitted totals.
-        let (catalog, cluster, layout) = wide_pods_world();
-        let trace = wide_pods_trace();
-        let sim = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 20,
-                ..SimConfig::paper_default()
-            },
-        )
-        .unwrap();
-        let telemetry = Telemetry::enabled();
-        let report = sim.run_with_telemetry(&trace, &telemetry).unwrap();
-        assert_eq!(report.arrivals, 20);
-        assert_eq!(report.admitted, 20);
-        let snap = telemetry.snapshot();
-        let buckets: Vec<u64> = (0..16)
-            .map(|k| snap.counter(&format!("sim.shard.events.{k:02}")))
-            .collect();
-        // One arrival + one departure per pod; the overflow bucket
-        // carries its own pod plus the four folded ones.
-        assert_eq!(&buckets[..15], &[2u64; 15][..], "{buckets:?}");
-        assert_eq!(buckets[15], 5 * 2, "{buckets:?}");
-        assert_eq!(
-            buckets.iter().sum::<u64>(),
-            snap.counter("sim.arrivals") + snap.counter("sim.admitted")
-        );
-        // No shard past the named table leaks a counter of its own.
-        assert_eq!(snap.counter("sim.shard.events.16"), 0);
-        assert_eq!(snap.counter("sim.shard.events.19"), 0);
-    }
-
-    #[test]
-    fn shard_departure_counters_beyond_named_buckets_fold_into_last() {
-        // Coupled fallback (the enabled controller forces it — its
-        // first tick lies past the horizon, so behavior is untouched):
-        // the split departure queue publishes per-sub-queue push
-        // counts through the same fold.
-        let (catalog, cluster, layout) = wide_pods_world();
-        let trace = wide_pods_trace();
-        let sim = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 20,
-                controller: ControllerConfig {
-                    tick_min: 1_000.0,
-                    ..ControllerConfig::default()
-                },
-                ..SimConfig::paper_default()
-            },
-        )
-        .unwrap();
-        let telemetry = Telemetry::enabled();
-        let report = sim.run_with_telemetry(&trace, &telemetry).unwrap();
-        assert_eq!(report.admitted, 20);
-        assert_eq!(report.controller_ticks, 0);
-        let snap = telemetry.snapshot();
-        let buckets: Vec<u64> = (0..16)
-            .map(|k| snap.counter(&format!("sim.shard.departures.{k:02}")))
-            .collect();
-        // One departure push per admitted stream, one stream per
-        // sub-queue; the last bucket absorbs the four folded queues.
-        assert_eq!(&buckets[..15], &[1u64; 15][..], "{buckets:?}");
-        assert_eq!(buckets[15], 5, "{buckets:?}");
-        assert_eq!(buckets.iter().sum::<u64>(), report.admitted);
-        assert_eq!(snap.counter("sim.shard.departures.16"), 0);
-    }
-
-    #[test]
-    fn sharded_run_with_queueing_admission_stays_identical() {
-        // Queue+retry admission couples servers through the FIFO queue,
-        // so shards>1 must take the coupled path and still agree.
-        let (catalog, cluster, layout) = pods_world();
-        let trace = pods_trace();
-        let admission = crate::admission::AdmissionConfig {
-            policy: crate::admission::QueuePolicy::Queue { patience_min: 2.0 },
-            max_retries: 1,
-            retry_backoff_min: 1.0,
-            seed: 7,
-        };
-        let cfg = |shards| SimConfig {
-            shards,
-            admission: admission.clone(),
-            ..SimConfig::paper_default()
-        };
-        let a = Simulation::new(&catalog, &cluster, &layout, cfg(1))
-            .unwrap()
-            .run(&trace)
-            .unwrap();
-        let b = Simulation::new(&catalog, &cluster, &layout, cfg(8))
-            .unwrap()
-            .run(&trace)
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
     }
 
     #[test]
@@ -3423,30 +2151,13 @@ mod tests {
     }
 
     #[test]
-    fn controller_runs_are_deterministic_and_shard_identical() {
+    fn controller_runs_are_deterministic() {
         let (catalog, cluster, layout) = controller_world();
         let trace = drifting_trace();
         let sim = Simulation::new(&catalog, &cluster, &layout, controller_cfg(5.0)).unwrap();
         let a = sim.run(&trace).unwrap();
         let b = sim.run(&trace).unwrap();
         assert_eq!(a, b);
-        // The controller is a coupling feature: shards > 1 must take the
-        // serial coupled-fallback path and stay byte-identical.
-        let sharded = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 4,
-                ..controller_cfg(5.0)
-            },
-        )
-        .unwrap();
-        let c = sharded.run(&trace).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&c).unwrap()
-        );
     }
 
     #[test]

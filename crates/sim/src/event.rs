@@ -138,21 +138,12 @@ impl DepartureQueue {
 
     /// Schedules a departure.
     pub fn push(&mut self, d: Departure) {
-        let seq = self.seq;
-        self.push_with_seq(d, seq);
-    }
-
-    /// Schedules a departure under an externally assigned sequence
-    /// number (a sharded wrapper hands out globally unique sequence
-    /// numbers so per-shard sub-queues merge in exactly the order a
-    /// single queue would pop). The internal counter advances past
-    /// `seq` so interleaved [`DepartureQueue::push`] calls stay unique.
-    pub fn push_with_seq(&mut self, d: Departure, seq: u64) {
         let j = d.server.index();
         if j >= self.server_head.len() {
             self.server_head.resize(j + 1, NONE);
         }
-        self.seq = self.seq.max(seq + 1);
+        let seq = self.seq;
+        self.seq += 1;
         let head = self.server_head[j];
         debug_assert!(
             d.kbps <= u32::MAX as u64 && d.backbone_kbps <= u32::MAX as u64,
@@ -204,13 +195,6 @@ impl DepartureQueue {
     /// The next departure's instant, if any.
     pub fn next_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.at)
-    }
-
-    /// The next departure's full `(time, sequence)` ordering key, if
-    /// any — what a cross-shard merge compares to reproduce the single
-    /// queue's deterministic pop order.
-    pub fn next_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(HeapEntry::key)
     }
 
     /// Removes every departure on `server` whose epoch matches `epoch` —
@@ -271,14 +255,6 @@ impl DepartureQueue {
     /// Most departures ever queued at once over this queue's lifetime.
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// The next sequence number this queue would hand out — the
-    /// high-water mark of every seq it has seen, plus one. A sharded
-    /// wrapper reads this when a checked-out sub-queue comes back, to
-    /// advance its own global counter past everything the worker pushed.
-    pub(crate) fn seq_watermark(&self) -> u64 {
-        self.seq
     }
 
     /// Removes slot `h` from the heap and its server list, frees it, and
@@ -373,232 +349,6 @@ impl DepartureQueue {
         }
         self.heap[pos] = entry;
         self.slots[entry.handle as usize].heap_pos = pos as u32;
-    }
-}
-
-/// A bank of per-shard [`DepartureQueue`]s behind the single-queue API.
-///
-/// Servers are partitioned across sub-queues by an owner map; every
-/// push draws one *global* sequence number and forwards it to the
-/// owning sub-queue via [`DepartureQueue::push_with_seq`], so the keys
-/// in all sub-queues are drawn from one totally ordered stream. Popping
-/// the minimum `(time, sequence)` head across sub-queues therefore
-/// reproduces, event for event, the order a single queue would pop —
-/// the determinism contract the sharded engine is built on. With one
-/// shard this degenerates to a thin wrapper over [`DepartureQueue`].
-#[derive(Debug)]
-pub struct ShardedDepartureQueue {
-    queues: Vec<DepartureQueue>,
-    /// Owning sub-queue of each server (contiguous block partition).
-    owner: Vec<u32>,
-    /// Next global sequence number.
-    seq: u64,
-    /// Live departures across all sub-queues.
-    len: usize,
-    /// High-water mark of `len` over this queue's lifetime.
-    peak_len: usize,
-    /// Pushes routed to each sub-queue (per-shard telemetry).
-    pushes: Vec<u64>,
-}
-
-impl ShardedDepartureQueue {
-    /// A queue bank for `servers` servers split into `shards`
-    /// contiguous blocks (server `j` goes to shard `j * shards /
-    /// servers`). `shards` is clamped to `[1, max(servers, 1)]`.
-    pub fn new(servers: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, servers.max(1));
-        let owner: Vec<u32> = (0..servers)
-            .map(|j| ((j * shards) / servers.max(1)) as u32)
-            .collect();
-        let mut queues = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let servers_in = owner.iter().filter(|&&o| o == s as u32).count();
-            queues.push(DepartureQueue::with_capacity(servers_in.max(1)));
-        }
-        ShardedDepartureQueue {
-            queues,
-            owner,
-            seq: 0,
-            len: 0,
-            peak_len: 0,
-            pushes: vec![0; shards],
-        }
-    }
-
-    /// A queue bank over an explicit owner map: server `j` goes to
-    /// sub-queue `owner[j]`, which must be `< shards`. The windowed
-    /// coupled engine uses this to align sub-queues with the
-    /// [`crate::shard::ShardPlan`] groups so each worker owns exactly
-    /// one sub-queue. Pop order is owner-map independent (the global
-    /// `(time, sequence)` minimum), so swapping the partition never
-    /// changes what a run observes — only per-shard telemetry shapes.
-    pub(crate) fn with_owner(owner: Vec<u32>, shards: usize) -> Self {
-        let shards = shards.max(1);
-        debug_assert!(owner.iter().all(|&s| (s as usize) < shards));
-        let mut queues = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let servers_in = owner.iter().filter(|&&o| o == s as u32).count();
-            queues.push(DepartureQueue::with_capacity(servers_in.max(1)));
-        }
-        ShardedDepartureQueue {
-            queues,
-            owner,
-            seq: 0,
-            len: 0,
-            peak_len: 0,
-            pushes: vec![0; shards],
-        }
-    }
-
-    /// Number of sub-queues.
-    pub fn n_shards(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The owning sub-queue index of `server` (servers past the owner
-    /// map — never the case in a validated run — fold into the last).
-    #[inline]
-    fn shard_of(&self, server: ServerId) -> usize {
-        self.owner
-            .get(server.index())
-            .map(|&s| s as usize)
-            .unwrap_or(self.queues.len() - 1)
-    }
-
-    /// Schedules a departure under the next global sequence number.
-    pub fn push(&mut self, d: Departure) {
-        let s = self.shard_of(d.server);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queues[s].push_with_seq(d, seq);
-        self.pushes[s] += 1;
-        self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
-    }
-
-    /// The sub-queue holding the globally minimal `(time, sequence)`
-    /// head, if any departure is queued.
-    #[inline]
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, q) in self.queues.iter().enumerate() {
-            if let Some((at, seq)) = q.next_key() {
-                if best.is_none_or(|(bat, bseq, _)| (at, seq) < (bat, bseq)) {
-                    best = Some((at, seq, s));
-                }
-            }
-        }
-        best.map(|(_, _, s)| s)
-    }
-
-    /// Removes and returns the next departure at or before `now`, in
-    /// global `(time, sequence)` order.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<Departure> {
-        let s = self.min_shard()?;
-        let d = self.queues[s].pop_due(now)?;
-        self.len -= 1;
-        Some(d)
-    }
-
-    /// The next departure's instant across all sub-queues, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.queues
-            .iter()
-            .filter_map(DepartureQueue::next_time)
-            .min()
-    }
-
-    /// Removes every epoch-matching departure on `server` into `out`
-    /// in `(time, sequence)` order; see
-    /// [`DepartureQueue::extract_active_into`].
-    pub fn extract_active_into(&mut self, server: ServerId, epoch: u32, out: &mut Vec<Departure>) {
-        let s = self.shard_of(server);
-        self.queues[s].extract_active_into(server, epoch, out);
-        self.len -= out.len();
-    }
-
-    /// [`Self::extract_active_into`] returning a fresh `Vec` (test and
-    /// non-hot-path convenience).
-    pub fn extract_active(&mut self, server: ServerId, epoch: u32) -> Vec<Departure> {
-        let mut out = Vec::new();
-        self.extract_active_into(server, epoch, &mut out);
-        out
-    }
-
-    /// Drains every remaining departure in global `(time, sequence)`
-    /// order (end-of-run cleanup).
-    pub fn drain_all(&mut self) -> Vec<Departure> {
-        let mut out = Vec::with_capacity(self.len);
-        while let Some(d) = self.pop_due(SimTime(u64::MAX)) {
-            out.push(d);
-        }
-        out
-    }
-
-    /// Number of scheduled departures across all sub-queues.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no streams are active.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Most departures ever queued at once, cluster-wide.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Pushes routed to each sub-queue over this queue's lifetime.
-    pub fn per_shard_pushes(&self) -> &[u64] {
-        &self.pushes
-    }
-
-    /// Reserves `n` consecutive global sequence numbers and returns the
-    /// first. The windowed engine pre-assigns one seq per window
-    /// arrival in global arrival order, so departures pushed by
-    /// parallel workers carry exactly the keys the serial loop would
-    /// have drawn; rejected arrivals leave gaps, which is harmless —
-    /// only relative order is observable.
-    pub(crate) fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let base = self.seq;
-        self.seq += n;
-        base
-    }
-
-    /// Checks sub-queue `k` out for exclusive use by a window worker.
-    /// Its departures leave the bank's accounting until
-    /// [`Self::put_shard`] returns it.
-    pub(crate) fn take_shard(&mut self, k: usize) -> DepartureQueue {
-        let q = std::mem::take(&mut self.queues[k]);
-        self.len -= q.len();
-        q
-    }
-
-    /// Returns a checked-out sub-queue, folding the worker's pushes
-    /// into telemetry and advancing the global sequence counter past
-    /// everything the worker assigned. `peak_len` is refreshed from the
-    /// post-merge total — within a window it is approximate (workers
-    /// pop and push concurrently), which only affects the
-    /// `sim.queue.peak_len` gauge, never a report.
-    pub(crate) fn put_shard(&mut self, k: usize, q: DepartureQueue, pushes: u64) {
-        self.len += q.len();
-        self.pushes[k] += pushes;
-        self.seq = self.seq.max(q.seq_watermark());
-        self.queues[k] = q;
-        self.peak_len = self.peak_len.max(self.len);
-    }
-
-    /// Resident bytes across all sub-queues plus the owner map — see
-    /// [`DepartureQueue::mem_bytes`].
-    pub fn mem_bytes(&self) -> usize {
-        self.queues
-            .iter()
-            .map(DepartureQueue::mem_bytes)
-            .sum::<usize>()
-            + self.owner.capacity() * std::mem::size_of::<u32>()
-            + self.pushes.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -781,112 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pop_order_matches_single_queue() {
-        // Pseudo-random pushes over 8 servers: the 4-shard bank must
-        // pop the exact sequence a single queue pops.
-        let mut single = DepartureQueue::new();
-        let mut sharded = ShardedDepartureQueue::new(8, 4);
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        for _ in 0..200 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let d = Departure {
-                video: VideoId((x >> 32) as u32 % 10),
-                ..dep(x % 50, (x >> 8) as u32 % 8)
-            };
-            single.push(d);
-            sharded.push(d);
-        }
-        assert_eq!(sharded.len(), single.len());
-        loop {
-            let a = single.pop_due(SimTime(u64::MAX));
-            let b = sharded.pop_due(SimTime(u64::MAX));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert!(sharded.is_empty());
-        assert_eq!(sharded.peak_len(), single.peak_len());
-    }
-
-    #[test]
-    fn sharded_routes_by_block_partition() {
-        let mut q = ShardedDepartureQueue::new(8, 4);
-        assert_eq!(q.n_shards(), 4);
-        for server in 0..8u32 {
-            q.push(dep(10, server));
-        }
-        // Contiguous blocks of two servers per shard.
-        assert_eq!(q.per_shard_pushes(), &[2, 2, 2, 2]);
-        assert_eq!(q.len(), 8);
-    }
-
-    #[test]
-    fn sharded_extract_and_drain_preserve_global_order() {
-        let mut q = ShardedDepartureQueue::new(4, 2);
-        q.push(dep(30, 0)); // seq 0, shard 0
-        q.push(dep(10, 3)); // seq 1, shard 1
-        q.push(dep(10, 0)); // seq 2, shard 0
-        q.push(dep(20, 3)); // seq 3, shard 1
-        let got = q.extract_active(ServerId(3), 0);
-        assert_eq!(
-            got.iter().map(|d| d.at.ticks()).collect::<Vec<_>>(),
-            vec![10, 20]
-        );
-        assert_eq!(q.len(), 2);
-        let times: Vec<u64> = q.drain_all().iter().map(|d| d.at.ticks()).collect();
-        assert_eq!(times, vec![10, 30]);
-        assert!(q.is_empty());
-        assert_eq!(q.peak_len(), 4);
-    }
-
-    #[test]
-    fn sharded_same_tick_ties_pop_in_push_order_across_shards() {
-        let mut q = ShardedDepartureQueue::new(4, 4);
-        for server in [3u32, 0, 2, 1] {
-            q.push(dep(10, server));
-        }
-        let servers: Vec<u32> = q.drain_all().iter().map(|d| d.server.0).collect();
-        assert_eq!(servers, vec![3, 0, 2, 1]);
-    }
-
-    #[test]
-    fn with_owner_routes_by_explicit_map_and_checkout_roundtrips() {
-        // Interleaved ownership (servers 0,2 -> shard 0; 1,3 -> shard 1)
-        // that the contiguous block partition could never produce.
-        let mut q = ShardedDepartureQueue::with_owner(vec![0, 1, 0, 1], 2);
-        assert_eq!(q.n_shards(), 2);
-        for server in 0..4u32 {
-            q.push(dep(10 + server as u64, server));
-        }
-        assert_eq!(q.per_shard_pushes(), &[2, 2]);
-        // Check shard 1 out, push under reserved seqs, return it.
-        let base = q.reserve_seqs(2);
-        assert_eq!(base, 4);
-        let mut sub = q.take_shard(1);
-        assert_eq!(q.len(), 2);
-        sub.push_with_seq(dep(5, 3), base + 1);
-        q.put_shard(1, sub, 1);
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.per_shard_pushes(), &[2, 3]);
-        // Global counter advanced past the reservation: the next direct
-        // push stays unique.
-        q.push(dep(50, 0));
-        let order: Vec<u64> = q.drain_all().iter().map(|d| d.at.ticks()).collect();
-        assert_eq!(order, vec![5, 10, 11, 12, 13, 50]);
-    }
-
-    #[test]
-    fn sharded_clamps_shard_count() {
-        let q = ShardedDepartureQueue::new(2, 16);
-        assert_eq!(q.n_shards(), 2);
-        let q = ShardedDepartureQueue::new(5, 0);
-        assert_eq!(q.n_shards(), 1);
-    }
-
-    #[test]
     fn slot_stays_packed() {
         // The slab word is the dominant per-active-stream cost; keep it
         // at nine u32 words (the memory-smoke ceiling is sized to it).
@@ -907,10 +551,6 @@ mod tests {
         // footprint is set by the concurrency peak, not the run length.
         while q.pop_due(SimTime(u64::MAX)).is_some() {}
         assert_eq!(q.mem_bytes(), bytes);
-
-        let mut sq = ShardedDepartureQueue::new(8, 4);
-        sq.push(dep(10, 0));
-        assert!(sq.mem_bytes() > 0);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! * [`striping`] — the wide-striping comparator architecture the paper
 //!   argues against (perfect balance, full failure coupling);
 //! * [`metrics`] — rejection accounting and load-imbalance sampling;
-//! * [`shard`] — deterministic partitioning of servers into independent
-//!   groups for the parallel engine;
+//! * [`shard`] — the replica-graph partition of servers into independent
+//!   groups (a layout diagnostic; the engine does not shard);
 //! * [`engine`] — the run loop tying it together.
 //!
 //! The serial run loop is allocation-free on the hot path: every arrival
@@ -43,15 +43,11 @@
 //! cap reuses the actuator's own buffers). Topology events — a crash and
 //! its replan, a recovery, a copy starting or completing — may allocate,
 //! and a coded reconstruction allocates its `k − 1` extra read sources
-//! once when it starts. Setting
-//! [`SimConfig::shards`] above 1 opts into the sharded engine: when the
-//! layout decomposes into independent server groups (and no coupling
-//! features are active) each group runs on its own thread and the
-//! per-shard results are merged deterministically; otherwise the serial
-//! loop runs with a sharded event queue whose `(time, seq)` merge order
-//! is identical to the single-queue order. Either way, reports are
-//! byte-identical to a `shards: 1` run. Above that, the experiment
-//! runner still fans out independent replications across threads.
+//! once when it starts. There is one event loop: a run executes
+//! serially on the calling thread, whatever the entry point
+//! (materialized trace or streaming source). Parallelism lives one level
+//! up, where the experiment runner fans out independent replications
+//! across threads.
 //!
 //! ```
 //! use vod_model::{BitRate, Catalog, ClusterSpec, Layout, ServerId, ServerSpec};
@@ -101,7 +97,7 @@ pub mod time;
 pub use admission::{AdmissionConfig, QueuePolicy};
 pub use controller::ControllerConfig;
 pub use dispatch::AdmissionPolicy;
-pub use engine::{SimConfig, Simulation, WindowConfig};
+pub use engine::{SimConfig, Simulation};
 pub use failure::{Brownout, BrownoutModel, FailureModel, FailurePlan, Outage, RackFailures};
 pub use metrics::SimReport;
 pub use repair::{FailoverPolicy, RepairConfig};

@@ -290,97 +290,6 @@ impl MetricsCollector {
         }
     }
 
-    /// Applies one window's worth of parallel-worker outcomes at a
-    /// barrier merge. Sound only under the windowed path's admission
-    /// preconditions: every in-window admission is direct (never
-    /// redirected or degraded) and waits exactly `0.0` minutes — `0.0`
-    /// is the additive identity and percentile sorting is stable across
-    /// equal keys, so pushing the zeros here, whatever order workers
-    /// finished in, is byte-identical to the serial loop's pushes.
-    /// Rejections arrive as sparse `(video, count)` pairs.
-    pub(crate) fn apply_window(
-        &mut self,
-        admitted: u64,
-        delivered_kbps_s: u128,
-        rejections: &[(usize, u64)],
-    ) {
-        self.admitted += admitted;
-        for _ in 0..admitted {
-            self.wait_times_min.push(0.0);
-        }
-        self.delivered_kbps_s += delivered_kbps_s;
-        for &(v, n) in rejections {
-            self.rejected += n;
-            self.per_video_rejections[v] += n;
-        }
-    }
-
-    /// Folds another collector into this one — the cross-shard merge of
-    /// the sharded engine. All event counts and the goodput integrals
-    /// are integers, so the merged totals equal a serial run's exactly,
-    /// whatever order shards finish in. Float fields (wait times,
-    /// imbalance sums, the sample series) are only *exact* when the
-    /// inputs have disjoint support — true by construction for engine
-    /// shards, which serve disjoint server groups and defer load
-    /// sampling to the coordinator's replay.
-    pub fn absorb(&mut self, other: MetricsCollector) {
-        debug_assert_eq!(
-            self.per_video_arrivals.len(),
-            other.per_video_arrivals.len()
-        );
-        self.arrivals += other.arrivals;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.redirected += other.redirected;
-        self.disrupted += other.disrupted;
-        self.resumed += other.resumed;
-        self.degraded += other.degraded;
-        self.queued += other.queued;
-        self.retried += other.retried;
-        self.abandoned += other.abandoned;
-        self.degraded_served += other.degraded_served;
-        self.wait_times_min.extend(other.wait_times_min);
-        self.offered_kbps_s += other.offered_kbps_s;
-        self.delivered_kbps_s += other.delivered_kbps_s;
-        self.undelivered_kbps_ticks += other.undelivered_kbps_ticks;
-        self.brownout_active_min += other.brownout_active_min;
-        self.repair_bytes_copied += other.repair_bytes_copied;
-        self.repair_copies += other.repair_copies;
-        self.time_to_redundancy_min += other.time_to_redundancy_min;
-        self.redundancy_deficit_video_min += other.redundancy_deficit_video_min;
-        self.unavailability_video_min += other.unavailability_video_min;
-        self.controller_ticks += other.controller_ticks;
-        self.controller_backoffs += other.controller_backoffs;
-        self.controller_promotions += other.controller_promotions;
-        self.controller_demotions += other.controller_demotions;
-        self.controller_retired += other.controller_retired;
-        self.controller_copies += other.controller_copies;
-        self.controller_bytes_copied += other.controller_bytes_copied;
-        for (a, b) in self
-            .per_video_arrivals
-            .iter_mut()
-            .zip(other.per_video_arrivals)
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .per_video_rejections
-            .iter_mut()
-            .zip(other.per_video_rejections)
-        {
-            *a += b;
-        }
-        self.imbalance_cv_sum += other.imbalance_cv_sum;
-        self.imbalance_maxdev_rel_sum += other.imbalance_maxdev_rel_sum;
-        self.imbalance_samples += other.imbalance_samples;
-        self.imbalance_maxdev_abs_sum += other.imbalance_maxdev_abs_sum;
-        self.all_samples += other.all_samples;
-        self.peak_streams = self.peak_streams.max(other.peak_streams);
-        self.stream_time_integral += other.stream_time_integral;
-        self.last_sample_min = self.last_sample_min.max(other.last_sample_min);
-        self.series.extend(other.series);
-    }
-
     /// Finalizes into an immutable report. `horizon_min` is the simulated
     /// peak-period length.
     pub fn finish(self, horizon_min: f64) -> SimReport {
@@ -644,33 +553,6 @@ mod tests {
         assert!((r.wait_p50_min - 4.0).abs() < 1e-12);
         assert!((r.wait_p95_min - 5.8).abs() < 1e-12);
         assert_eq!(r.brownout_active_min, 3.5);
-    }
-
-    #[test]
-    fn absorb_merges_shard_collectors_exactly() {
-        // Two collectors with disjoint per-video support, as engine
-        // shards produce, must merge into the serial-run totals.
-        let mut a = MetricsCollector::new(3);
-        a.on_arrival(0);
-        a.on_admit(false);
-        a.on_offered(100, 60);
-        a.on_delivered(100, 60);
-        a.on_wait(0.0);
-        let mut b = MetricsCollector::new(3);
-        b.on_arrival(2);
-        b.on_reject(2);
-        b.on_offered(100, 120);
-        b.on_undelivered(50, 60_000);
-        let mut merged = MetricsCollector::new(3);
-        merged.absorb(a);
-        merged.absorb(b);
-        let r = merged.finish(90.0);
-        assert_eq!((r.arrivals, r.admitted, r.rejected), (2, 1, 1));
-        assert_eq!(r.per_video_arrivals, vec![1, 0, 1]);
-        assert_eq!(r.per_video_rejections, vec![0, 0, 1]);
-        // offered 300 kbps·min, delivered 100 - 50 killed = 50.
-        assert!((r.goodput - 50.0 / 300.0).abs() < 1e-12);
-        assert!(r.is_conservative());
     }
 
     #[test]

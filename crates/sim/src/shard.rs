@@ -1,14 +1,14 @@
-//! Server-group sharding for the parallel engine.
+//! The replica-graph partition of a layout into independent server
+//! groups.
 //!
-//! The decoupled parallel path (see [`crate::engine`]) runs one full
-//! mini-engine per server group. That is only sound when no event on
-//! one group can influence another: every replica of a video must live
-//! inside a single group, so dispatch, admission and departures for
-//! that video never touch another group's servers. [`ShardPlan`]
-//! computes the finest such partition — connected components of the
-//! servers-joined-by-replica-sets graph — and packs the components
-//! into at most the requested number of shards, largest first, so
-//! shard sizes stay balanced (LPT packing).
+//! Two servers are coupled when some video keeps a replica on both:
+//! dispatch, admission and departures for that video touch both
+//! servers. [`ShardPlan`] computes the finest partition no video
+//! crosses — connected components of the servers-joined-by-replica-sets
+//! graph — and packs the components into at most the requested number
+//! of groups, largest first, so group sizes stay balanced (LPT packing).
+//! It describes a layout's structure (e.g. how many pods a pod layout
+//! really has); the engine itself always runs one serial event loop.
 //!
 //! Everything here is deterministic: components are ordered by size
 //! (descending) then by their smallest server id, and ties in the
@@ -18,7 +18,7 @@
 use vod_model::Layout;
 
 /// A deterministic partition of servers (and their videos) into
-/// engine shards.
+/// independent groups.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Number of shards actually used (`1..=requested`).
@@ -70,8 +70,7 @@ impl ShardPlan {
     /// shards. Servers sharing any video's replica set land in the
     /// same shard; videos with no replicas (never admittable, but
     /// legal) are spread round-robin. With a fully connected replica
-    /// graph this degenerates to a single shard — the caller should
-    /// then fall back to the serial engine.
+    /// graph this degenerates to a single shard.
     pub fn decoupled(layout: &Layout, max_shards: usize) -> ShardPlan {
         let n_servers = layout.n_servers();
         let n_videos = layout.n_videos();

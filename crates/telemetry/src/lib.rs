@@ -35,59 +35,6 @@ pub use manifest::{ManifestWriter, PhaseTiming, RunRecord};
 /// in `[2^(i-1), 2^i)`, with bucket 0 catching everything below 1).
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Per-shard engine instruments (see [`Telemetry::shard_counter`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardInstrument {
-    /// Events processed by one engine shard (`sim.shard.events.NN`).
-    Events,
-    /// Departures scheduled on one shard's queue
-    /// (`sim.shard.departures.NN`).
-    Departures,
-}
-
-/// Highest individually named shard index; shards beyond this fold into
-/// the last slot (counter names are `&'static str`, so the table is
-/// fixed-size).
-pub const MAX_NAMED_SHARDS: usize = 16;
-
-static SHARD_EVENTS: [&str; MAX_NAMED_SHARDS] = [
-    "sim.shard.events.00",
-    "sim.shard.events.01",
-    "sim.shard.events.02",
-    "sim.shard.events.03",
-    "sim.shard.events.04",
-    "sim.shard.events.05",
-    "sim.shard.events.06",
-    "sim.shard.events.07",
-    "sim.shard.events.08",
-    "sim.shard.events.09",
-    "sim.shard.events.10",
-    "sim.shard.events.11",
-    "sim.shard.events.12",
-    "sim.shard.events.13",
-    "sim.shard.events.14",
-    "sim.shard.events.15",
-];
-
-static SHARD_DEPARTURES: [&str; MAX_NAMED_SHARDS] = [
-    "sim.shard.departures.00",
-    "sim.shard.departures.01",
-    "sim.shard.departures.02",
-    "sim.shard.departures.03",
-    "sim.shard.departures.04",
-    "sim.shard.departures.05",
-    "sim.shard.departures.06",
-    "sim.shard.departures.07",
-    "sim.shard.departures.08",
-    "sim.shard.departures.09",
-    "sim.shard.departures.10",
-    "sim.shard.departures.11",
-    "sim.shard.departures.12",
-    "sim.shard.departures.13",
-    "sim.shard.departures.14",
-    "sim.shard.departures.15",
-];
-
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
@@ -157,21 +104,6 @@ impl Telemetry {
             histogram: self.histogram(name),
             started: self.is_enabled().then(Instant::now),
         }
-    }
-
-    /// The per-shard counter for `what` on shard index `shard`. Names
-    /// follow `sim.shard.<what>.NN`; indices at or beyond
-    /// [`MAX_NAMED_SHARDS`] fold into the last named slot, so totals
-    /// stay exact however many shards a run uses. Comparisons across
-    /// runs with different shard counts should exclude the
-    /// `sim.shard.` prefix — the per-shard split is topology-dependent
-    /// by design.
-    pub fn shard_counter(&self, what: ShardInstrument, shard: usize) -> Counter {
-        let names = match what {
-            ShardInstrument::Events => &SHARD_EVENTS,
-            ShardInstrument::Departures => &SHARD_DEPARTURES,
-        };
-        self.counter(names[shard.min(MAX_NAMED_SHARDS - 1)])
     }
 
     /// Freezes all instruments into plain maps. Returns an empty
@@ -502,26 +434,6 @@ mod tests {
         let snap = telemetry.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
-    }
-
-    #[test]
-    fn shard_counters_are_named_and_folded() {
-        let telemetry = Telemetry::enabled();
-        telemetry.shard_counter(ShardInstrument::Events, 0).add(3);
-        telemetry
-            .shard_counter(ShardInstrument::Departures, 7)
-            .add(5);
-        // Indices past the named table fold into the last slot.
-        telemetry
-            .shard_counter(ShardInstrument::Events, MAX_NAMED_SHARDS + 9)
-            .add(2);
-        telemetry
-            .shard_counter(ShardInstrument::Events, MAX_NAMED_SHARDS - 1)
-            .add(1);
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("sim.shard.events.00"), 3);
-        assert_eq!(snap.counter("sim.shard.departures.07"), 5);
-        assert_eq!(snap.counter("sim.shard.events.15"), 3);
     }
 
     #[test]

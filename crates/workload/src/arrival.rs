@@ -52,8 +52,7 @@ use vod_model::{ModelError, Popularity};
 /// A pull-based request stream in arrival order.
 ///
 /// Implementations yield requests with non-decreasing `arrival_min` and
-/// terminate at their horizon. Sources are `Clone` so the sharded engine
-/// can replay the same stream per worker and filter by video ownership.
+/// terminate at their horizon.
 pub trait ArrivalSource {
     /// The next request, or `None` once the horizon is reached.
     fn next_request(&mut self) -> Option<Request>;
@@ -874,8 +873,7 @@ mod tests {
 
     #[test]
     fn streaming_sources_are_cloneable_midstream() {
-        // A cloned source replays the identical suffix — the property
-        // the sharded engine's per-worker replay relies on.
+        // A cloned source replays the identical suffix.
         let pop = Popularity::zipf(20, 1.0).unwrap();
         let g = TraceGenerator::new(30.0, &pop, 90.0).unwrap();
         let mut a = g.stream(ChaCha8Rng::seed_from_u64(12));

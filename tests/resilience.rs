@@ -470,124 +470,6 @@ fn default_config_reproduces_pre_pipeline_golden_reports() {
 }
 
 #[test]
-fn golden_reports_hold_at_eight_shards() {
-    // The same two golden scenarios, replayed through the sharded
-    // engine: `shards: 8` must reproduce every golden field exactly.
-    let (p, plan, trace) = golden_scenario();
-    let plain = Simulation::new(
-        p.catalog(),
-        p.cluster(),
-        &plan.layout,
-        SimConfig {
-            shards: 8,
-            ..SimConfig::default()
-        },
-    )
-    .unwrap()
-    .run(&trace)
-    .unwrap();
-    assert_matches_golden(&plain, GOLDEN_PLAIN);
-
-    let config = SimConfig {
-        policy: AdmissionPolicy::RoundRobinFailover,
-        failure_model: Some(FailureModel::exponential(45.0, 12.0, 0xF00D)),
-        repair: RepairConfig {
-            bandwidth_kbps: 80_000,
-            max_concurrent: 4,
-        },
-        failover: FailoverPolicy::ResumeOrDegrade,
-        shards: 8,
-        ..SimConfig::default()
-    };
-    let sim_cluster = ClusterSpec::paper_default(20);
-    let recov = Simulation::new(p.catalog(), &sim_cluster, &plan.layout, config)
-        .unwrap()
-        .run(&trace)
-        .unwrap();
-    assert_matches_golden(&recov, GOLDEN_RECOV);
-}
-
-#[test]
-fn sharded_runs_are_byte_identical_across_policy_combos() {
-    // Every policy combination this suite covers, replayed at shards=1
-    // and shards=8: the serialized reports must match byte for byte.
-    let (p, plan, trace) = golden_scenario();
-    let combos: Vec<(&str, SimConfig)> = vec![
-        ("plain", SimConfig::default()),
-        (
-            "recovery",
-            SimConfig {
-                policy: AdmissionPolicy::RoundRobinFailover,
-                failure_model: Some(FailureModel::exponential(45.0, 12.0, 0xF00D)),
-                repair: RepairConfig {
-                    bandwidth_kbps: 80_000,
-                    max_concurrent: 4,
-                },
-                failover: FailoverPolicy::ResumeOrDegrade,
-                ..SimConfig::default()
-            },
-        ),
-        (
-            "queueing",
-            SimConfig {
-                admission: AdmissionConfig {
-                    policy: QueuePolicy::Queue { patience_min: 2.0 },
-                    max_retries: 2,
-                    ..AdmissionConfig::default()
-                },
-                ..SimConfig::default()
-            },
-        ),
-        (
-            "brownout+degrade+audit",
-            SimConfig {
-                policy: AdmissionPolicy::RoundRobinFailover,
-                failure_model: Some(FailureModel::brownouts_only(
-                    BrownoutModel {
-                        mtbf_min: 40.0,
-                        mttr_min: 12.0,
-                        min_capacity_frac: 0.3,
-                        max_capacity_frac: 0.7,
-                    },
-                    0xB120,
-                )),
-                failover: FailoverPolicy::ResumeOrDegrade,
-                admission: AdmissionConfig {
-                    policy: QueuePolicy::QueueOrDegrade { patience_min: 1.0 },
-                    max_retries: 2,
-                    ..AdmissionConfig::default()
-                },
-                audit: true,
-                ..SimConfig::default()
-            },
-        ),
-        (
-            "backbone",
-            SimConfig {
-                policy: AdmissionPolicy::BackboneRedirect {
-                    backbone_capacity_kbps: 400_000,
-                },
-                ..SimConfig::default()
-            },
-        ),
-    ];
-    for (name, base) in combos {
-        let run = |shards: usize| {
-            let config = SimConfig {
-                shards,
-                ..base.clone()
-            };
-            let report = Simulation::new(p.catalog(), p.cluster(), &plan.layout, config)
-                .unwrap()
-                .run(&trace)
-                .unwrap();
-            serde_json::to_string(&report).unwrap()
-        };
-        assert_eq!(run(1), run(8), "combo `{name}` diverged at shards=8");
-    }
-}
-
-#[test]
 fn passive_admission_configs_are_byte_identical_to_block() {
     let (p, plan, trace) = golden_scenario();
     let run = |admission: AdmissionConfig, audit: bool| {
@@ -716,7 +598,7 @@ fn all_replicated_redundancy_map_reproduces_goldens() {
     // Attaching an explicit all-`Replicated` redundancy map to the
     // golden layout must change nothing: the coded-serving machinery
     // stays disengaged and both golden scenarios reproduce byte for
-    // byte, at one shard and at eight.
+    // byte.
     use vod_model::redundancy::{RedundancyMap, RedundancyScheme};
     use vod_model::Layout;
 
@@ -732,39 +614,28 @@ fn all_replicated_redundancy_map_reproduces_goldens() {
     let layout = Layout::with_redundancy(plan.layout.n_servers(), assignments, map).unwrap();
     assert!(!layout.any_coded());
 
-    for shards in [1usize, 8] {
-        let plain = Simulation::new(
-            p.catalog(),
-            p.cluster(),
-            &layout,
-            SimConfig {
-                shards,
-                ..SimConfig::default()
-            },
-        )
+    let plain = Simulation::new(p.catalog(), p.cluster(), &layout, SimConfig::default())
         .unwrap()
         .run(&trace)
         .unwrap();
-        assert_matches_golden(&plain, GOLDEN_PLAIN);
+    assert_matches_golden(&plain, GOLDEN_PLAIN);
 
-        let config = SimConfig {
-            policy: AdmissionPolicy::RoundRobinFailover,
-            failure_model: Some(FailureModel::exponential(45.0, 12.0, 0xF00D)),
-            repair: RepairConfig {
-                bandwidth_kbps: 80_000,
-                max_concurrent: 4,
-            },
-            failover: FailoverPolicy::ResumeOrDegrade,
-            shards,
-            ..SimConfig::default()
-        };
-        let sim_cluster = ClusterSpec::paper_default(20);
-        let recov = Simulation::new(p.catalog(), &sim_cluster, &layout, config)
-            .unwrap()
-            .run(&trace)
-            .unwrap();
-        assert_matches_golden(&recov, GOLDEN_RECOV);
-    }
+    let config = SimConfig {
+        policy: AdmissionPolicy::RoundRobinFailover,
+        failure_model: Some(FailureModel::exponential(45.0, 12.0, 0xF00D)),
+        repair: RepairConfig {
+            bandwidth_kbps: 80_000,
+            max_concurrent: 4,
+        },
+        failover: FailoverPolicy::ResumeOrDegrade,
+        ..SimConfig::default()
+    };
+    let sim_cluster = ClusterSpec::paper_default(20);
+    let recov = Simulation::new(p.catalog(), &sim_cluster, &layout, config)
+        .unwrap()
+        .run(&trace)
+        .unwrap();
+    assert_matches_golden(&recov, GOLDEN_RECOV);
 }
 
 #[test]
@@ -772,7 +643,7 @@ fn coded_layout_survives_failures_end_to_end() {
     // A uniformly (2, 1)-coded catalog under the exponential failure
     // model with coded repair: streams ride out single-fragment losses
     // as degraded reads, the run stays conservative, and the report is
-    // byte-identical across reruns and shard counts.
+    // byte-identical across reruns.
     use vod_model::redundancy::{RedundancyMap, RedundancyScheme};
     use vod_placement::place_coded;
     use vod_telemetry::Telemetry;
@@ -788,7 +659,7 @@ fn coded_layout_survives_failures_end_to_end() {
             .unwrap()
             .generate(&mut rng)
     };
-    let run = |shards: usize| {
+    let run = || {
         let config = SimConfig {
             failure_model: Some(FailureModel::exponential(60.0, 12.0, 0xF00D)),
             repair: RepairConfig {
@@ -796,7 +667,6 @@ fn coded_layout_survives_failures_end_to_end() {
                 max_concurrent: 8,
             },
             failover: FailoverPolicy::ResumeOrDegrade,
-            shards,
             ..SimConfig::default()
         };
         let tel = Telemetry::enabled();
@@ -806,7 +676,7 @@ fn coded_layout_survives_failures_end_to_end() {
             .unwrap();
         (r, tel.snapshot())
     };
-    let (r, snap) = run(1);
+    let (r, snap) = run();
     assert!(r.admitted > 0);
     assert!(r.is_conservative());
     // Fragment losses were survived, not fatal: shares re-attached.
@@ -816,16 +686,10 @@ fn coded_layout_survives_failures_end_to_end() {
         snap.counter("sim.repair.coded.reconstructions") > 0,
         "coded repair never completed a reconstruction"
     );
-    let (r1, _) = run(1);
+    let (r1, _) = run();
     assert_eq!(
         serde_json::to_string(&r).unwrap(),
         serde_json::to_string(&r1).unwrap(),
         "coded runs must replay byte-identically"
-    );
-    let (r8, _) = run(8);
-    assert_eq!(
-        serde_json::to_string(&r).unwrap(),
-        serde_json::to_string(&r8).unwrap(),
-        "coded runs must be shard-invariant"
     );
 }

@@ -15,9 +15,7 @@
 //! 2. **Engine equivalence** — pulling a streaming source through
 //!    [`vod_sim::Simulation::run_streaming`] produces a [`SimReport`]
 //!    JSON-equal to materializing the same workload and replaying it
-//!    with [`vod_sim::Simulation::run`], at `shards = 1` (serial pull)
-//!    and `shards = 8` (per-worker replay + ownership filter on pod
-//!    worlds, sharded serial queue on bridged ones).
+//!    with [`vod_sim::Simulation::run`].
 
 use proptest::prelude::*;
 use vod_model::{BitRate, Catalog, ClusterSpec, Layout, Popularity, ServerId, ServerSpec, VideoId};
@@ -149,23 +147,19 @@ proptest! {
     }
 
     #[test]
-    fn streaming_engine_reports_match_materialized_at_shards_1_and_8(
+    fn streaming_engine_reports_match_materialized(
         n_pods in 2usize..6,
         lambda in 2.0f64..25.0,
         theta in 0.0f64..1.2,
         horizon in 10.0f64..45.0,
-        bridge in any::<bool>(),
         seed in any::<u64>(),
     ) {
         // Pod world: `n_pods` independent 4-server groups, 8 videos per
-        // pod on 2-replica in-pod sets. `bridge` adds one video
-        // replicated across pods, gluing the replica graph so shards=8
-        // exercises the sharded serial queue instead of the decoupled
-        // worker path.
+        // pod on 2-replica in-pod sets.
         const PER_POD: usize = 4;
         const VIDEOS_PER_POD: usize = 8;
         let n_servers = n_pods * PER_POD;
-        let n_videos = n_pods * VIDEOS_PER_POD + usize::from(bridge);
+        let n_videos = n_pods * VIDEOS_PER_POD;
         let catalog = Catalog::fixed_rate(n_videos, BitRate::MPEG2, 600).unwrap();
         let cluster = ClusterSpec::homogeneous(
             n_servers,
@@ -175,7 +169,7 @@ proptest! {
             },
         )
         .unwrap();
-        let mut replicas: Vec<Vec<ServerId>> = (0..n_pods * VIDEOS_PER_POD)
+        let replicas: Vec<Vec<ServerId>> = (0..n_videos)
             .map(|v| {
                 let pod = v / VIDEOS_PER_POD;
                 let w = v % VIDEOS_PER_POD;
@@ -185,9 +179,6 @@ proptest! {
                 ]
             })
             .collect();
-        if bridge {
-            replicas.push(vec![ServerId(0), ServerId((n_servers - 1) as u32)]);
-        }
         let layout = Layout::new(n_servers, replicas).unwrap();
 
         let rate = RateModel::constant(lambda)
@@ -199,40 +190,24 @@ proptest! {
                 .unwrap();
         let trace = workload.generate(&mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
 
-        let mut reports = Vec::new();
-        for shards in [1usize, 8] {
-            let sim = Simulation::new(
-                &catalog,
-                &cluster,
-                &layout,
-                SimConfig {
-                    horizon_min: horizon,
-                    shards,
-                    ..SimConfig::default()
-                },
-            )
+        let sim = Simulation::new(
+            &catalog,
+            &cluster,
+            &layout,
+            SimConfig {
+                horizon_min: horizon,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        let materialized = sim.run(&trace).unwrap();
+        let streamed = sim
+            .run_streaming(workload.stream(ChaCha8Rng::seed_from_u64(seed)).unwrap())
             .unwrap();
-            let materialized = sim.run(&trace).unwrap();
-            let streamed = sim
-                .run_streaming(workload.stream(ChaCha8Rng::seed_from_u64(seed)).unwrap())
-                .unwrap();
-            reports.push((shards, materialized, streamed));
-        }
-        let json = |r| serde_json::to_string(r).unwrap();
-        let baseline = json(&reports[0].1);
-        for (shards, materialized, streamed) in &reports {
-            prop_assert_eq!(
-                &json(materialized),
-                &json(streamed),
-                "streaming vs materialized diverged at shards={}",
-                shards
-            );
-            prop_assert_eq!(
-                &json(materialized),
-                &baseline,
-                "shards={} diverged from shards=1",
-                shards
-            );
-        }
+        prop_assert_eq!(
+            serde_json::to_string(&materialized).unwrap(),
+            serde_json::to_string(&streamed).unwrap(),
+            "streaming vs materialized diverged"
+        );
     }
 }
