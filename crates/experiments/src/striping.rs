@@ -15,6 +15,12 @@
 //! * **failure case** — one server out for minutes 30–60: the striped
 //!   cluster loses *all* service (and every active stream), the
 //!   replicated one degrades gracefully.
+//!
+//! Both architectures run on the one engine. The striped cluster is the
+//! erasure-coded serving path with a `k = N, m = 0` stripe per video
+//! (replication is the repetition code, wide striping the full-width
+//! code without parity), and the coordination overhead is a derating of
+//! every server link — see [`run_striped`].
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
@@ -22,8 +28,9 @@ use crate::runner::{aggregate, build_plan, run_point_with_telemetry, Combo};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use vod_model::ServerId;
-use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimReport, StripedConfig, StripedSimulation};
+use vod_model::{ClusterSpec, RedundancyMap, RedundancyScheme, ServerId, ServerSpec};
+use vod_placement::place_coded;
+use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig, SimReport, Simulation};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
@@ -40,6 +47,14 @@ pub struct StripedCell {
     pub disrupted_mean: f64,
 }
 
+/// Runs one striped cell through the main engine. Wide striping is the
+/// `k = N, m = 0` code: every video is one fragment per server, each
+/// stream draws a `b/N` share from every link, admission needs all `N`
+/// holders live, and losing any holder kills the stream. The
+/// coordination overhead inflates each stream to `b(1 + overhead)`;
+/// [`derated_link_kbps`] scales every link down instead, which admits
+/// exactly the same streams while storage and goodput stay in true
+/// units.
 fn run_striped(
     setup: &PaperSetup,
     lambda: f64,
@@ -49,16 +64,27 @@ fn run_striped(
     telemetry: &Telemetry,
 ) -> Result<(f64, f64), Box<dyn std::error::Error>> {
     let catalog = setup.catalog()?;
-    // Same aggregate hardware as the replicated runs at degree 1.2.
-    let cluster = setup.cluster(1.2);
-    let pop = setup.popularity(1.0)?;
-    let config = StripedConfig {
-        overhead,
+    let n = setup.n_servers;
+    let stripe = RedundancyScheme::Coded { k: n as u32, m: 0 };
+    let map = RedundancyMap::uniform(setup.n_videos, stripe)?;
+    let layout = place_coded(n, &[], &map)?;
+    // Same aggregate hardware as the replicated runs at degree 1.2,
+    // each link derated by the coordination overhead.
+    let spec = setup.cluster(1.2).servers()[0];
+    let cluster = ClusterSpec::homogeneous(
+        n,
+        ServerSpec {
+            bandwidth_kbps: derated_link_kbps(spec.bandwidth_kbps, overhead),
+            ..spec
+        },
+    )?;
+    let config = SimConfig {
         horizon_min: setup.horizon_min,
-        sample_interval_min: 1.0,
         failures,
+        ..SimConfig::default()
     };
-    let sim = StripedSimulation::new(&catalog, &cluster, config)?;
+    let sim = Simulation::new(&catalog, &cluster, &layout, config)?;
+    let pop = setup.popularity(1.0)?;
     let generator = TraceGenerator::new(lambda, &pop, setup.horizon_min)?;
     let mut reports: Vec<SimReport> = Vec::with_capacity(setup.runs as usize);
     for run in 0..setup.runs {
@@ -68,6 +94,15 @@ fn run_striped(
     }
     let disrupted = reports.iter().map(|r| r.disrupted as f64).sum::<f64>() / reports.len() as f64;
     Ok((aggregate(lambda, &reports).rejection_rate, disrupted))
+}
+
+/// A link of `bandwidth_kbps` derated by a coordination overhead:
+/// `⌊B / (1 + overhead)⌋`. A stream whose whole-kbps link share is
+/// `s` then fits `n` times exactly when `n · s · (1 + overhead) ≤ B`.
+/// The tolerance absorbs the division's rounding, so a whole quotient
+/// (4 400 kbps at 10%) floors to 4 000 and not 3 999.
+fn derated_link_kbps(bandwidth_kbps: u64, overhead: f64) -> u64 {
+    (bandwidth_kbps as f64 / (1.0 + overhead) + 1e-6).floor() as u64
 }
 
 /// Regenerates the A-5 tables.
@@ -137,12 +172,12 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     // Replicated counterpart under the identical outage (failover).
     let generator =
         TraceGenerator::new(lambda, replicated.planner().popularity(), setup.horizon_min)?;
-    let config = vod_sim::SimConfig {
+    let config = SimConfig {
         policy: AdmissionPolicy::RoundRobinFailover,
         failures: outage,
-        ..vod_sim::SimConfig::default()
+        ..SimConfig::default()
     };
-    let sim = vod_sim::Simulation::new(
+    let sim = Simulation::new(
         replicated.planner().catalog(),
         replicated.planner().cluster(),
         &replicated.plan.layout,
@@ -180,6 +215,15 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn derating_floors_whole_quotients_exactly() {
+        assert_eq!(derated_link_kbps(4_400, 0.1), 4_000);
+        assert_eq!(derated_link_kbps(4_400, 0.5), 2_933);
+        assert_eq!(derated_link_kbps(1_800_000, 0.0), 1_800_000);
+        assert_eq!(derated_link_kbps(1_800_000, 0.1), 1_636_363);
+        assert_eq!(derated_link_kbps(1_800_000, 0.25), 1_440_000);
+    }
 
     #[test]
     fn striping_loses_under_overhead_and_failure() {

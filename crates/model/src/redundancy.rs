@@ -28,11 +28,13 @@ pub enum RedundancyScheme {
     /// A systematic Reed-Solomon stripe: `k` data + `m` parity
     /// fragments of `⌈size / k⌉` bytes on `k + m` distinct servers.
     /// Any `k` fragments serve or rebuild the video; losing more than
-    /// `m` makes it unavailable.
+    /// `m` makes it unavailable. `m = 0` is plain striping: every
+    /// fragment is needed and no loss is tolerated (`k = N, m = 0` is
+    /// the wide-striping architecture the paper argues against).
     Coded {
         /// Data fragments required to serve (`k ≥ 1`).
         k: u32,
-        /// Parity fragments, i.e. tolerated losses (`m ≥ 1`).
+        /// Parity fragments, i.e. tolerated losses (`m ≥ 0`).
         m: u32,
     },
 }
@@ -92,9 +94,8 @@ impl RedundancyScheme {
     }
 
     /// Degenerate-parameter validation against a cluster of `n_servers`:
-    /// `1 ≤ holders ≤ N`, and for coded stripes `k ≥ 1` and `m ≥ 1`
-    /// (`m = 0` stores fragments with no redundancy at all — strictly
-    /// worse than a single replica, so it is rejected).
+    /// `1 ≤ holders ≤ N`, and for coded stripes `k ≥ 1` (`m = 0` is a
+    /// valid stripe without parity).
     pub fn validate(&self, n_servers: usize) -> Result<(), ModelError> {
         match *self {
             RedundancyScheme::Replicated { r } => {
@@ -109,12 +110,6 @@ impl RedundancyScheme {
                 if k == 0 {
                     return Err(ModelError::InvalidParameter {
                         name: "coded k",
-                        value: 0.0,
-                    });
-                }
-                if m == 0 {
-                    return Err(ModelError::InvalidParameter {
-                        name: "coded m",
                         value: 0.0,
                     });
                 }
@@ -217,7 +212,9 @@ mod tests {
         assert!(RedundancyScheme::Replicated { r: 0 }.validate(8).is_err());
         assert!(RedundancyScheme::Replicated { r: 9 }.validate(8).is_err());
         assert!(RedundancyScheme::Coded { k: 0, m: 1 }.validate(8).is_err());
-        assert!(RedundancyScheme::Coded { k: 4, m: 0 }.validate(8).is_err());
+        // m = 0 is plain striping: valid, it just tolerates no loss.
+        assert!(RedundancyScheme::Coded { k: 4, m: 0 }.validate(8).is_ok());
+        assert!(RedundancyScheme::Coded { k: 8, m: 0 }.validate(8).is_ok());
         assert!(RedundancyScheme::Coded { k: 6, m: 3 }.validate(8).is_err());
         assert!(C32.validate(5).is_ok());
         assert!(C32.validate(4).is_err());

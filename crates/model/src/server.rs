@@ -105,11 +105,6 @@ impl ClusterSpec {
         self.servers.windows(2).all(|w| w[0] == w[1])
     }
 
-    /// Total cluster storage in bytes.
-    pub fn total_storage_bytes(&self) -> u64 {
-        self.servers.iter().map(|s| s.storage_bytes).sum()
-    }
-
     /// Total cluster outgoing bandwidth in kbps.
     pub fn total_bandwidth_kbps(&self) -> u64 {
         self.servers.iter().map(|s| s.bandwidth_kbps).sum()
@@ -191,7 +186,6 @@ mod tests {
         ])
         .unwrap();
         assert!(!c.is_homogeneous());
-        assert_eq!(c.total_storage_bytes(), 30);
         assert_eq!(c.total_bandwidth_kbps(), 20);
     }
 

@@ -129,11 +129,6 @@ impl Catalog {
     pub fn mean_bitrate_mbps(&self) -> f64 {
         self.videos.iter().map(|v| v.bitrate.mbps()).sum::<f64>() / self.videos.len() as f64
     }
-
-    /// Total storage for exactly one replica of every video, in bytes.
-    pub fn single_copy_storage_bytes(&self) -> u64 {
-        self.videos.iter().map(|v| v.storage_bytes()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,6 @@ mod tests {
         assert!(c.is_uniform_duration());
         assert_eq!(c.get(VideoId(0)).unwrap().storage_bytes(), 2_700_000_000);
         assert!((c.mean_bitrate_mbps() - 4.0).abs() < 1e-12);
-        assert_eq!(c.single_copy_storage_bytes(), 200 * 2_700_000_000);
     }
 
     #[test]

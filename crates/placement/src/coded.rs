@@ -3,7 +3,9 @@
 //! A `Coded { k, m }` video occupies `k + m` distinct servers — one
 //! fragment each — so losing any single server costs at most one
 //! fragment per video (server anti-affinity, the coded analogue of the
-//! paper's constraint (6)). When the cluster is organised into racks
+//! paper's constraint (6)). `m = 0` is accepted: a stripe without
+//! parity, and with `k = N` the paper's wide-striping comparator (every
+//! video spread over every server, no loss tolerated). When the cluster is organised into racks
 //! that fail together, fragments should additionally spread across
 //! racks so a rack outage never claims more than
 //! `⌈(k+m) / n_racks⌉` fragments of one stripe (rack anti-affinity).

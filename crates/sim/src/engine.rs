@@ -2434,4 +2434,101 @@ mod tests {
         );
         assert_eq!(r.unavailability_video_min, 0.0);
     }
+
+    // ---- wide striping: the k = N, m = 0 stripe ----
+
+    /// Four 10-minute videos, each striped over all four servers with no
+    /// parity: every stream draws a 1 000 kbps share from every link.
+    fn striped_world(bandwidth_kbps: u64, storage_bytes: u64) -> (Catalog, ClusterSpec, Layout) {
+        let catalog = Catalog::fixed_rate(4, BitRate::MPEG2, 600).unwrap();
+        let cluster = ClusterSpec::homogeneous(
+            4,
+            ServerSpec {
+                storage_bytes,
+                bandwidth_kbps,
+            },
+        )
+        .unwrap();
+        let map = vod_model::redundancy::RedundancyMap::uniform(
+            4,
+            vod_model::redundancy::RedundancyScheme::Coded { k: 4, m: 0 },
+        )
+        .unwrap();
+        let layout = vod_placement::place_coded(4, &[], &map).unwrap();
+        (catalog, cluster, layout)
+    }
+
+    fn run_striped(bandwidth_kbps: u64, requests: Vec<Request>) -> SimReport {
+        let (catalog, cluster, layout) = striped_world(bandwidth_kbps, u64::MAX);
+        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        sim.run(&Trace::new(requests).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn striped_link_capacity_gates_aggregate_admission() {
+        // A 4 400 kbps link at 10% coordination overhead serves like a
+        // 4 000 kbps link: four 1 000 kbps shares, so exactly four
+        // concurrent streams cluster-wide.
+        let reqs: Vec<Request> = (0..6).map(|k| req(k as f64 * 0.5, k % 4)).collect();
+        let r = run_striped(4_000, reqs);
+        assert_eq!((r.admitted, r.rejected), (4, 2));
+        assert!(r.is_conservative());
+    }
+
+    #[test]
+    fn striped_overhead_admits_fewer_streams() {
+        // The overhead derates each link to ⌊B / (1 + overhead)⌋.
+        let reqs = || (0..5).map(|k| req(k as f64 * 0.5, k % 4)).collect();
+        let free = run_striped(4_400, reqs());
+        assert_eq!(free.admitted, 4); // ⌊4 400 / 1 000⌋
+        let heavy = run_striped(2_933, reqs()); // 4 400 at 50% overhead
+        assert_eq!(heavy.admitted, 2); // ⌊2 933 / 1 000⌋
+    }
+
+    #[test]
+    fn striped_balance_is_perfect() {
+        let r = run_striped(4_400, (0..4).map(|k| req(k as f64, k)).collect());
+        assert_eq!(r.admitted, 4);
+        assert!(r.mean_imbalance_cv < 1e-12);
+        assert!(r.mean_imbalance_maxdev_streams < 1e-12);
+    }
+
+    #[test]
+    fn striped_single_failure_disrupts_every_stream() {
+        // Three streams start before server 2 fails at t=2; all die.
+        // The arrival during the outage is rejected (no stripe has all
+        // k = 4 holders live); after recovery admission works again.
+        let (catalog, cluster, layout) = striped_world(4_000, u64::MAX);
+        let cfg = failing_cfg(vec![Outage {
+            server: ServerId(2),
+            down_at_min: 2.0,
+            up_at_min: Some(5.0),
+        }]);
+        let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
+        let reqs = vec![
+            req(0.0, 0),
+            req(0.5, 1),
+            req(1.0, 2),
+            req(3.0, 3),
+            req(6.0, 0),
+        ];
+        let r = sim.run(&Trace::new(reqs).unwrap()).unwrap();
+        assert_eq!(r.disrupted, 3);
+        assert_eq!(r.rejected, 1);
+        assert_eq!(r.admitted, 4);
+        assert!(r.is_conservative());
+    }
+
+    #[test]
+    fn striped_fragments_must_fit_storage() {
+        let (catalog, cluster, layout) = striped_world(10_000, 1);
+        assert!(matches!(
+            Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()),
+            Err(ModelError::StorageExceeded { .. })
+        ));
+        // Four quarter-size fragments per server fit one video's bytes.
+        let one_video = BitRate::MPEG2.storage_bytes(600);
+        let (catalog, cluster, layout) = striped_world(10_000, one_video);
+        assert!(Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).is_ok());
+    }
 }

@@ -30,8 +30,6 @@
 //! * [`controller`] — the online replication controller: EWMA sensing of
 //!   observed per-video demand, hysteresis hot/cold classification, and
 //!   periodic re-replication/retirement of drifting titles;
-//! * [`striping`] — the wide-striping comparator architecture the paper
-//!   argues against (perfect balance, full failure coupling);
 //! * [`metrics`] — rejection accounting and load-imbalance sampling;
 //! * [`shard`] — the replica-graph partition of servers into independent
 //!   groups (a layout diagnostic; the engine does not shard);
@@ -91,7 +89,6 @@ pub mod metrics;
 pub mod repair;
 pub mod server;
 pub mod shard;
-pub mod striping;
 pub mod time;
 
 pub use admission::{AdmissionConfig, QueuePolicy};
@@ -102,5 +99,4 @@ pub use failure::{Brownout, BrownoutModel, FailureModel, FailurePlan, Outage, Ra
 pub use metrics::SimReport;
 pub use repair::{FailoverPolicy, RepairConfig};
 pub use shard::ShardPlan;
-pub use striping::{StripedConfig, StripedSimulation};
 pub use time::SimTime;

@@ -1,10 +1,11 @@
 //! Property test over the engine's configuration space: random small
-//! worlds (pod-structured or bridged across pods) under every feature
-//! the engine supports — injected outages, brownouts and stochastic
-//! crashes, queueing admission with retries and degradation, the online
-//! replication controller, repair, each dispatch and failover policy —
-//! with the invariant auditor forced on, so any broken invariant fails
-//! the run at the event that broke it.
+//! worlds (pod-structured or bridged across pods, replicated, erasure
+//! coded or mixed) under every feature the engine supports — injected
+//! outages, brownouts and stochastic crashes, queueing admission with
+//! retries and degradation, the online replication controller, repair,
+//! each dispatch and failover policy — with the invariant auditor
+//! forced on, so any broken invariant fails the run at the event that
+//! broke it.
 //!
 //! Every case must:
 //!
@@ -19,11 +20,21 @@
 //! Half the cases draw every knob at random; the other half pin one of
 //! five named policy combinations (plain, recovery, queueing,
 //! brownout+degrade, backbone) on a random world.
+//!
+//! About a third of the worlds stripe some or all videos as
+//! `Coded { k, m }` with `m ∈ {0, 1, 2}` and `k + m ≤ N`, including the
+//! full-width `k = N, m = 0` wide stripe. A coded stream spans `k`
+//! servers, which the online controller and backbone redirection do
+//! not model, so binding rejects those combinations and coded cases
+//! never draw them.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
-use vod_model::{BitRate, Catalog, ClusterSpec, Layout, ServerId, ServerSpec, VideoId};
+use vod_model::{
+    BitRate, Catalog, ClusterSpec, Layout, RedundancyMap, RedundancyScheme, ServerId, ServerSpec,
+    VideoId,
+};
 use vod_sim::{
     AdmissionConfig, AdmissionPolicy, BrownoutModel, ControllerConfig, FailoverPolicy,
     FailureModel, FailurePlan, Outage, QueuePolicy, RepairConfig, SimConfig, Simulation,
@@ -41,6 +52,10 @@ struct Scenario {
     bridge_video: bool,
     bandwidth_kbps: u64,
     duration_s: u64,
+    /// Per-video coded stripe `(k, m)`, dealt over the whole cluster;
+    /// `None` keeps the video's replicas. All `None` binds a plain
+    /// replicated layout.
+    stripes: Vec<Option<(u32, u32)>>,
     /// The named combination this case pins, or `"random"`.
     preset: &'static str,
     config: SimConfig,
@@ -85,7 +100,30 @@ impl Scenario {
             let last_base = (self.n_pods - 1) * self.servers_per_pod;
             replicas.push(vec![ServerId(0), ServerId(last_base as u32)]);
         }
-        let layout = Layout::new(self.n_servers(), replicas).expect("valid layout");
+        let layout = if self.stripes.iter().all(Option::is_none) {
+            Layout::new(self.n_servers(), replicas).expect("valid layout")
+        } else {
+            let n = self.n_servers();
+            let mut schemes = Vec::with_capacity(replicas.len());
+            for (v, (set, stripe)) in replicas.iter_mut().zip(&self.stripes).enumerate() {
+                match *stripe {
+                    Some((k, m)) => {
+                        // Rotate the first holder per video, like
+                        // `place_coded`, so fragment load spreads.
+                        let holders = (k + m) as usize;
+                        *set = (0..holders)
+                            .map(|i| ServerId(((v * holders + i) % n) as u32))
+                            .collect();
+                        schemes.push(RedundancyScheme::Coded { k, m });
+                    }
+                    None => schemes.push(RedundancyScheme::Replicated {
+                        r: set.len() as u32,
+                    }),
+                }
+            }
+            let map = RedundancyMap::new(schemes).expect("non-empty map");
+            Layout::with_redundancy(n, replicas, map).expect("valid coded layout")
+        };
         (catalog, cluster, layout)
     }
 }
@@ -98,9 +136,10 @@ const BROWNOUTS: BrownoutModel = BrownoutModel {
     max_capacity_frac: 0.7,
 };
 
-/// One of the five named policy combinations.
-fn preset_config(rng: &mut TestRng) -> (&'static str, SimConfig) {
-    match rng.gen_range(0u32..5) {
+/// One of the five named policy combinations; a coded world never
+/// draws the backbone one.
+fn preset_config(rng: &mut TestRng, coded: bool) -> (&'static str, SimConfig) {
+    match rng.gen_range(0u32..if coded { 4 } else { 5 }) {
         0 => ("plain", SimConfig::default()),
         1 => (
             "recovery",
@@ -152,9 +191,10 @@ fn preset_config(rng: &mut TestRng) -> (&'static str, SimConfig) {
     }
 }
 
-/// Every knob drawn independently.
-fn random_config(rng: &mut TestRng, n_servers: usize) -> SimConfig {
-    let policy = match rng.gen_range(0u32..8) {
+/// Every knob drawn independently, except that a coded world draws
+/// neither backbone redirection nor the controller.
+fn random_config(rng: &mut TestRng, n_servers: usize, coded: bool) -> SimConfig {
+    let policy = match rng.gen_range(0u32..if coded { 7 } else { 8 }) {
         0..=3 => AdmissionPolicy::StaticRoundRobin,
         4..=5 => AdmissionPolicy::RoundRobinFailover,
         6 => AdmissionPolicy::LeastLoadedReplica,
@@ -217,7 +257,7 @@ fn random_config(rng: &mut TestRng, n_servers: usize) -> SimConfig {
     } else {
         RepairConfig::default()
     };
-    let controller = if rng.gen_bool(0.3) {
+    let controller = if !coded && rng.gen_bool(0.3) {
         ControllerConfig {
             tick_min: 5.0,
             ..ControllerConfig::default()
@@ -237,6 +277,31 @@ fn random_config(rng: &mut TestRng, n_servers: usize) -> SimConfig {
     }
 }
 
+/// The coded stripes of one world: none (two thirds of the worlds),
+/// the full-width `k = N, m = 0` wide stripe on every video, or random
+/// `(k, m)` stripes with `m ∈ {0, 1, 2}` and `k + m ≤ N` on all or
+/// some of the videos.
+fn draw_stripes(rng: &mut TestRng, n_servers: u32, n_videos: usize) -> Vec<Option<(u32, u32)>> {
+    let random_stripe = |rng: &mut TestRng| {
+        let m = rng.gen_range(0..=2.min(n_servers - 1));
+        Some((rng.gen_range(1..=n_servers - m), m))
+    };
+    match rng.gen_range(0u32..9) {
+        0 => vec![Some((n_servers, 0)); n_videos],
+        1 => (0..n_videos).map(|_| random_stripe(rng)).collect(),
+        2 => (0..n_videos)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    random_stripe(rng)
+                } else {
+                    None
+                }
+            })
+            .collect(),
+        _ => vec![None; n_videos],
+    }
+}
+
 /// Scenario generator. Domains are small on purpose: few servers with
 /// one-to-four stream links force admission contention, and short
 /// videos force departure/arrival interleaving.
@@ -253,11 +318,13 @@ impl Strategy for ScenarioStrategy {
         let bridge_video = n_pods > 1 && rng.gen_bool(0.3);
         let n_servers = n_pods * servers_per_pod;
         let n_videos = n_pods * videos_per_pod + usize::from(bridge_video);
+        let stripes = draw_stripes(rng, n_servers as u32, n_videos);
+        let coded = stripes.iter().any(Option::is_some);
 
         let (preset, config) = if rng.gen_bool(0.5) {
-            ("random", random_config(rng, n_servers))
+            ("random", random_config(rng, n_servers, coded))
         } else {
-            preset_config(rng)
+            preset_config(rng, coded)
         };
         let config = SimConfig {
             audit: true,
@@ -285,6 +352,7 @@ impl Strategy for ScenarioStrategy {
             bridge_video,
             bandwidth_kbps: 4_000 * rng.gen_range(1u64..=4),
             duration_s: 60 * rng.gen_range(3u64..=15),
+            stripes,
             preset,
             config,
             arrivals,
