@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the engine's per-event hot path: departure-queue
-//! operations, the dispatcher's replica pick, and alias-table sampling —
-//! the three inner loops every simulated event touches.
+//! operations (random-time heap churn, the engine's FIFO-lane churn and
+//! failover extraction), the dispatcher's replica pick, and alias-table
+//! sampling — the three inner loops every simulated event touches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
@@ -45,6 +46,45 @@ fn bench_queue_churn(c: &mut Criterion) {
                     at: SimTime(d.at.ticks().wrapping_add(600_000)),
                     ..d
                 });
+                black_box(q.next_time())
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The engine's real pattern: a monotone clock and one 90-minute
+/// duration, so every admission joins one FIFO lane. A queue holding `n`
+/// live streams pops the next departure and admits a replacement at that
+/// instant, per iteration.
+fn bench_queue_fifo(c: &mut Criterion) {
+    let mut group = c.benchmark_group("queue");
+    let duration = SimTime::from_min(90.0);
+    for n in [4_096usize, 262_144] {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut q = DepartureQueue::new();
+        // Admissions spread evenly over one duration.
+        let step = duration.ticks() / n as u64;
+        for i in 0..n as u64 {
+            q.push_lane(
+                Departure {
+                    at: SimTime(i * step) + duration,
+                    ..dep(&mut rng)
+                },
+                duration,
+            );
+        }
+        group.throughput(Throughput::Elements(1));
+        group.bench_with_input(BenchmarkId::new("push_pop_fifo", n), &n, |b, _| {
+            b.iter(|| {
+                let d = q.pop_due(SimTime(u64::MAX)).unwrap();
+                q.push_lane(
+                    Departure {
+                        at: d.at + duration,
+                        ..d
+                    },
+                    duration,
+                );
                 black_box(q.next_time())
             })
         });
@@ -138,6 +178,7 @@ fn bench_alias_sample(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_queue_churn,
+    bench_queue_fifo,
     bench_queue_extract,
     bench_dispatcher_pick,
     bench_alias_sample

@@ -89,6 +89,9 @@ pub(crate) struct ReplicaActuator {
     /// Servers holding a full replica (servable when up), per video, in
     /// round-robin dispatch order; copied replicas append at the end.
     holders: Vec<Vec<ServerId>>,
+    /// Bumped on every change to `holders`, so a reader can tell
+    /// whether the map moved since it last looked.
+    holders_version: u64,
     /// The inverse of `holders`: the videos each server holds, in
     /// ascending id order — so the failure and recovery hooks visit a
     /// server's videos in the same order a scan over all videos would.
@@ -202,6 +205,7 @@ impl ReplicaActuator {
             targets: holders.iter().map(|h| h.len() as u32).collect(),
             alive: holders.iter().map(|h| h.len() as u32).collect(),
             holders,
+            holders_version: 0,
             held_by,
             max_bytes: video_bytes.iter().copied().max().unwrap_or(1).max(1),
             uniform_bytes: video_bytes.windows(2).all(|w| w[0] == w[1]),
@@ -252,6 +256,12 @@ impl ReplicaActuator {
     /// entry) — what the placement auditor checks anti-affinity against.
     pub fn holders_all(&self) -> &[Vec<ServerId>] {
         &self.holders
+    }
+
+    /// Changes whenever [`Self::holders_all`] does (a completed copy or
+    /// a retired replica); equal versions mean an identical map.
+    pub fn holders_version(&self) -> u64 {
+        self.holders_version
     }
 
     /// Installs the rack map coded repair destinations are bounded by:
@@ -496,6 +506,7 @@ impl ReplicaActuator {
                 break;
             };
             let s = self.holders[v].remove(pos);
+            self.holders_version += 1;
             let held = &mut self.held_by[s.index()];
             if let Ok(at) = held.binary_search(&(v as u32)) {
                 held.remove(at);
@@ -842,6 +853,7 @@ impl ReplicaActuator {
         self.integrate(c.done_at.as_min());
         // The reservation made at copy start now backs a real replica.
         self.holders[c.video.index()].push(c.dst);
+        self.holders_version += 1;
         let held = &mut self.held_by[c.dst.index()];
         if let Err(at) = held.binary_search(&c.video.0) {
             held.insert(at, c.video.0);

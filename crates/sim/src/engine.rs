@@ -370,6 +370,8 @@ impl<'a> Simulation<'a> {
             .map(|m| CodedState {
                 schemes: m.clone(),
                 streams: Vec::new(),
+                free: Vec::new(),
+                chosen: Vec::new(),
                 degraded_reads: 0,
                 shares_reattached: 0,
             });
@@ -420,6 +422,7 @@ impl<'a> Simulation<'a> {
             failover: self.config.failover,
             admission: AdmissionState::new(&self.config.admission),
             auditor: (cfg!(debug_assertions) || self.config.audit).then(Auditor::new),
+            audited_holders: None,
             brownout_started: vec![None; self.cluster.len()],
             brownout_min: 0.0,
             load_scratch: Vec::new(),
@@ -468,19 +471,14 @@ impl<'a> Simulation<'a> {
         state.audit_check(SimTime::from_min(self.config.horizon_min))?;
         for d in state.departures.drain_all() {
             ct.departures.inc();
-            if d.stream == NO_STREAM {
-                if state.links.epoch(d.server) == d.epoch {
-                    state.links.release(d.server, d.kbps);
-                }
-                if d.backbone_kbps > 0 {
-                    state.dispatcher.release_backbone(d.backbone_kbps);
-                }
-            } else if state.stream_live(d.stream) && state.links.epoch(d.server) == d.epoch {
-                state.links.release(d.server, d.kbps);
-            }
+            state.release_departure(&d);
         }
         debug_assert_eq!(state.links.total_streams(), 0);
         debug_assert_eq!(state.dispatcher.backbone_used_kbps(), 0);
+        debug_assert!(state
+            .coded
+            .as_ref()
+            .is_none_or(|cs| cs.free.len() == cs.streams.len()));
 
         if let Some(c) = &state.controller {
             state.metrics.set_recovery_stats(
@@ -685,6 +683,9 @@ struct CodedStream {
     /// Set when failover could not keep `k` shares alive; the sibling
     /// departures then pop without releasing anything.
     killed: bool,
+    /// This stream's departures still in the queue; the slot is
+    /// recycled when the last one leaves.
+    queued_shares: u32,
 }
 
 /// Engine-side state for erasure-coded serving, present only when the
@@ -694,15 +695,56 @@ struct CodedStream {
 struct CodedState {
     /// Per-video schemes (cloned from the layout's redundancy map).
     schemes: RedundancyMap,
-    /// Every coded stream ever admitted, indexed by `Departure::stream`.
-    /// Slots are never freed: at simulation scale the retained tail is
-    /// a few dozen bytes per admission.
+    /// Coded streams, indexed by `Departure::stream`. A slot (with its
+    /// `servers` capacity) is recycled once its last queued share
+    /// leaves, so this grows with the active-stream peak, not with
+    /// admissions.
     streams: Vec<CodedStream>,
+    /// Recyclable slots of `streams`.
+    free: Vec<u32>,
+    /// One admission's chosen holders (reused across admissions).
+    chosen: Vec<ServerId>,
     /// Admissions that had to read at least one parity fragment
     /// (some of the first `k` holders were unavailable).
     degraded_reads: u64,
     /// Failed-over fragment shares re-attached to another holder.
     shares_reattached: u64,
+}
+
+impl CodedState {
+    /// Opens a stream served by one `share_kbps` share from each
+    /// `chosen` holder, in a recycled slot when one is free.
+    fn open(&mut self, share_kbps: u64, full_kbps: u64) -> u32 {
+        let queued_shares = self.chosen.len() as u32;
+        if let Some(id) = self.free.pop() {
+            let s = &mut self.streams[id as usize];
+            s.servers.clear();
+            s.servers.extend_from_slice(&self.chosen);
+            s.share_kbps = share_kbps;
+            s.full_kbps = full_kbps;
+            s.killed = false;
+            s.queued_shares = queued_shares;
+            return id;
+        }
+        self.streams.push(CodedStream {
+            servers: self.chosen.clone(),
+            share_kbps,
+            full_kbps,
+            killed: false,
+            queued_shares,
+        });
+        (self.streams.len() - 1) as u32
+    }
+
+    /// One departure of `stream` left the queue for good (popped, or
+    /// extracted and not re-queued); the last one frees the slot.
+    fn share_gone(&mut self, stream: u32) {
+        let s = &mut self.streams[stream as usize];
+        s.queued_shares -= 1;
+        if s.queued_shares == 0 {
+            self.free.push(stream);
+        }
+    }
 }
 
 /// Mutable run-loop state, split out so the background-event pump and the
@@ -739,6 +781,9 @@ struct RunState<'a> {
     failover: FailoverPolicy,
     admission: AdmissionState,
     auditor: Option<Auditor>,
+    /// Holder-map version the auditor last checked placement against
+    /// (`None` before the first check).
+    audited_holders: Option<u64>,
     /// Per-server brownout start instant, `Some` while one is active.
     brownout_started: Vec<Option<SimTime>>,
     /// Accumulated server·minutes of brownout (closed windows).
@@ -784,18 +829,7 @@ impl RunState<'_> {
                         context: "departure queue empty at its own next_time",
                     })?;
                 ct.departures.inc();
-                if d.stream == NO_STREAM {
-                    if self.links.epoch(d.server) == d.epoch {
-                        self.links.release(d.server, d.kbps);
-                    }
-                    if d.backbone_kbps > 0 {
-                        self.dispatcher.release_backbone(d.backbone_kbps);
-                    }
-                } else if self.stream_live(d.stream) && self.links.epoch(d.server) == d.epoch {
-                    // One fragment share of a coded stream ends; killed
-                    // streams released their shares at kill time.
-                    self.links.release(d.server, d.kbps);
-                }
+                self.release_departure(&d);
                 // Freed streaming bandwidth may unblock a stalled copy
                 // first (repair priority), then waiting clients.
                 if let Some(c) = self.controller.as_mut() {
@@ -904,13 +938,16 @@ impl RunState<'_> {
         if let Some(cs) = &self.coded {
             // Anti-affinity holds for the bound layout by construction;
             // what needs auditing is the actuator's evolving holder map
-            // (repair destinations). Static coded runs audit the layout
-            // itself once per event — cheap at audit-only cadence.
-            let holders = match &self.controller {
-                Some(c) => c.holders_all(),
-                None => self.layout.assignments(),
+            // (repair destinations), and only when it moved. A static
+            // coded run audits its layout once.
+            let (holders, version) = match &self.controller {
+                Some(c) => (c.holders_all(), c.holders_version()),
+                None => (self.layout.assignments(), 0),
             };
-            aud.check_placement(at, holders, &cs.schemes, &self.rack_of)?;
+            if self.audited_holders != Some(version) {
+                aud.check_placement(at, holders, &cs.schemes, &self.rack_of)?;
+                self.audited_holders = Some(version);
+            }
         }
         Ok(())
     }
@@ -1001,19 +1038,45 @@ impl RunState<'_> {
                     ct.adm_degraded.inc();
                     self.metrics.on_degraded_served();
                 }
-                self.departures.push(Departure {
-                    at: now + SimTime::from_secs(req.duration_s),
-                    server,
-                    video: req.video,
-                    kbps: rate,
-                    backbone_kbps,
-                    epoch: self.links.epoch(server),
-                    stream: NO_STREAM,
-                });
+                let duration = SimTime::from_secs(req.duration_s);
+                self.departures.push_lane(
+                    Departure {
+                        at: now + duration,
+                        server,
+                        video: req.video,
+                        kbps: rate,
+                        backbone_kbps,
+                        epoch: self.links.epoch(server),
+                        stream: NO_STREAM,
+                    },
+                    duration,
+                );
                 true
             }
             Decision::Reject => false,
         }
+    }
+
+    /// Releases what a popped departure still holds: its link share
+    /// unless a failure made it stale (or a kill released it already),
+    /// and any backbone reservation.
+    fn release_departure(&mut self, d: &Departure) {
+        if d.stream == NO_STREAM {
+            if self.links.epoch(d.server) == d.epoch {
+                self.links.release(d.server, d.kbps);
+            }
+            if d.backbone_kbps > 0 {
+                self.dispatcher.release_backbone(d.backbone_kbps);
+            }
+            return;
+        }
+        // One fragment share of a coded stream ends; killed streams
+        // released their shares at kill time.
+        if self.stream_live(d.stream) && self.links.epoch(d.server) == d.epoch {
+            self.links.release(d.server, d.kbps);
+        }
+        let cs = self.coded.as_mut().expect("coded share without state");
+        cs.share_gone(d.stream);
     }
 
     /// Whether coded stream `stream` is still live (not killed by
@@ -1038,56 +1101,49 @@ impl RunState<'_> {
         rate: u64,
         ct: &EngineCounters,
     ) -> bool {
-        let cs = self.coded.as_ref().expect("coded admission without state");
-        let scheme = cs.schemes.get(req.video);
-        let k = scheme.min_live() as usize;
-        let share = scheme.share_kbps(rate);
         let holders = match &self.controller {
             Some(c) => c.holders(req.video),
             None => self.layout.replicas_of(req.video),
         };
-        let mut chosen: Vec<ServerId> = Vec::with_capacity(k);
+        let cs = self.coded.as_mut().expect("coded admission without state");
+        let scheme = cs.schemes.get(req.video);
+        let k = scheme.min_live() as usize;
+        let share = scheme.share_kbps(rate);
+        cs.chosen.clear();
         let mut degraded_read = false;
         for (pos, &h) in holders.iter().enumerate() {
-            if chosen.len() == k {
+            if cs.chosen.len() == k {
                 break;
             }
             if self.links.can_admit(h, share) {
                 if pos >= k {
                     degraded_read = true;
                 }
-                chosen.push(h);
+                cs.chosen.push(h);
             }
         }
-        if chosen.len() < k {
+        if cs.chosen.len() < k {
             return false;
         }
-
-        let stream = {
-            let cs = self.coded.as_mut().expect("coded admission without state");
-            cs.streams.push(CodedStream {
-                servers: chosen.clone(),
-                share_kbps: share,
-                full_kbps: rate,
-                killed: false,
-            });
-            if degraded_read {
-                cs.degraded_reads += 1;
-            }
-            (cs.streams.len() - 1) as u32
-        };
-        let at = now + SimTime::from_secs(req.duration_s);
-        for &h in &chosen {
+        let stream = cs.open(share, rate);
+        if degraded_read {
+            cs.degraded_reads += 1;
+        }
+        let duration = SimTime::from_secs(req.duration_s);
+        for &h in &cs.chosen {
             self.links.admit(h, share);
-            self.departures.push(Departure {
-                at,
-                server: h,
-                video: req.video,
-                kbps: share,
-                backbone_kbps: 0,
-                epoch: self.links.epoch(h),
-                stream,
-            });
+            self.departures.push_lane(
+                Departure {
+                    at: now + duration,
+                    server: h,
+                    video: req.video,
+                    kbps: share,
+                    backbone_kbps: 0,
+                    epoch: self.links.epoch(h),
+                    stream,
+                },
+                duration,
+            );
         }
         ct.admitted.inc();
         self.metrics.on_admit(false);
@@ -1149,18 +1205,19 @@ impl RunState<'_> {
     /// released by the brownout shed) and charges the undelivered
     /// remainder at the viewer-facing rate.
     fn kill_coded_stream(&mut self, at: SimTime, d: &Departure, gone: ServerId) {
-        let (servers, share, full) = {
-            let cs = self.coded.as_mut().expect("coded share without state");
-            let s = &mut cs.streams[d.stream as usize];
-            s.killed = true;
-            (std::mem::take(&mut s.servers), s.share_kbps, s.full_kbps)
-        };
-        for &h in &servers {
+        let cs = self.coded.as_mut().expect("coded share without state");
+        let s = &mut cs.streams[d.stream as usize];
+        s.killed = true;
+        for &h in &s.servers {
             if h != gone {
-                self.links.release(h, share);
+                self.links.release(h, s.share_kbps);
             }
         }
-        self.metrics.on_undelivered(full, (d.at - at).ticks());
+        s.servers.clear();
+        self.metrics
+            .on_undelivered(s.full_kbps, (d.at - at).ticks());
+        // `d` itself is dropped; its siblings pop later as no-ops.
+        cs.share_gone(d.stream);
     }
 
     /// After capacity frees up, offers every waiting request a slot in
@@ -1368,6 +1425,8 @@ impl RunState<'_> {
                 if !self.stream_live(d.stream) {
                     // Share of an already-killed stream: its bandwidth
                     // was released at kill time (it is not in `dropped`).
+                    let cs = self.coded.as_mut().expect("coded share without state");
+                    cs.share_gone(d.stream);
                     continue;
                 }
                 live += 1;

@@ -12,8 +12,9 @@
 //!
 //! * [`time`] — integer millisecond simulation time (total order, no float
 //!   comparisons on the event queue);
-//! * [`event`] — the departure event queue (arrivals replay in trace
-//!   order, so only departures need a heap);
+//! * [`event`] — the departure event queue: one FIFO lane per stream
+//!   duration behind a small heap (arrivals replay in trace order, so
+//!   only departures need queueing);
 //! * [`server`] — per-server outgoing-link occupancy;
 //! * [`dispatch`] — admission policies: the paper's strict static
 //!   round-robin, plus least-loaded-replica, round-robin failover, and the

@@ -34,7 +34,13 @@ pub struct MetricsCollector {
     retried: u64,
     abandoned: u64,
     degraded_served: u64,
-    wait_times_min: Vec<f64>,
+    /// Admission waits: exact `+0.0` waits (instant admissions, nearly
+    /// all of them) are only counted, the rest are kept.
+    zero_waits: u64,
+    nonzero_waits_min: Vec<f64>,
+    /// Left-to-right sum of every wait, folded exactly as
+    /// `Iterator::sum` folds the full sample.
+    wait_sum_min: f64,
     /// Offered traffic in exact `kbps·seconds` (integer so shard merges
     /// are order-independent); converted to `kbps·minutes` once, in
     /// [`MetricsCollector::finish`].
@@ -86,7 +92,11 @@ impl MetricsCollector {
             retried: 0,
             abandoned: 0,
             degraded_served: 0,
-            wait_times_min: Vec::new(),
+            zero_waits: 0,
+            nonzero_waits_min: Vec::new(),
+            // The identity `Iterator::sum` starts from (-0.0), so an
+            // all-(-0.0) sample keeps its sign as it would there.
+            wait_sum_min: std::iter::empty::<f64>().sum(),
             offered_kbps_s: 0,
             delivered_kbps_s: 0,
             undelivered_kbps_ticks: 0,
@@ -185,7 +195,12 @@ impl MetricsCollector {
 
     /// Records the wait of a request served after queueing, in minutes.
     pub fn on_wait(&mut self, wait_min: f64) {
-        self.wait_times_min.push(wait_min);
+        self.wait_sum_min += wait_min;
+        if wait_min.to_bits() == 0.0f64.to_bits() {
+            self.zero_waits += 1;
+        } else {
+            self.nonzero_waits_min.push(wait_min);
+        }
     }
 
     /// Adds `kbps × seconds` of *offered* traffic (each arrival's full
@@ -292,8 +307,10 @@ impl MetricsCollector {
 
     /// Finalizes into an immutable report. `horizon_min` is the simulated
     /// peak-period length.
-    pub fn finish(self, horizon_min: f64) -> SimReport {
+    pub fn finish(mut self, horizon_min: f64) -> SimReport {
         let n = self.imbalance_samples.max(1) as f64;
+        let waits = self.zero_waits as usize + self.nonzero_waits_min.len();
+        self.nonzero_waits_min.sort_by(|a, b| a.total_cmp(b));
         SimReport {
             arrivals: self.arrivals,
             admitted: self.admitted,
@@ -306,9 +323,13 @@ impl MetricsCollector {
             retried: self.retried,
             abandoned: self.abandoned,
             degraded_served: self.degraded_served,
-            mean_wait_min: stats::sample_mean(&self.wait_times_min),
-            wait_p50_min: stats::percentile(&self.wait_times_min, 0.50),
-            wait_p95_min: stats::percentile(&self.wait_times_min, 0.95),
+            mean_wait_min: if waits == 0 {
+                0.0
+            } else {
+                self.wait_sum_min / waits as f64
+            },
+            wait_p50_min: wait_percentile(self.zero_waits, &self.nonzero_waits_min, 0.50),
+            wait_p95_min: wait_percentile(self.zero_waits, &self.nonzero_waits_min, 0.95),
             goodput: if self.offered_kbps_s > 0 {
                 let offered_kbps_min = self.offered_kbps_s as f64 / 60.0;
                 let delivered_kbps_min = self.delivered_kbps_s as f64 / 60.0
@@ -479,6 +500,19 @@ pub struct SimReport {
     pub series: Vec<LoadSample>,
 }
 
+/// [`stats::percentile`] of the sample made of `zeros` copies of `+0.0`
+/// and the `sorted` (by `total_cmp`) remaining values, read in place.
+fn wait_percentile(zeros: u64, sorted: &[f64], q: f64) -> f64 {
+    let zeros = zeros as usize;
+    // In `total_cmp` order the zeros sit after every value below +0.0.
+    let below = sorted.partition_point(|x| x.total_cmp(&0.0).is_lt());
+    stats::sorted_percentile(zeros + sorted.len(), q, |i| match i {
+        i if i < below => sorted[i],
+        i if i < below + zeros => 0.0,
+        i => sorted[i - zeros],
+    })
+}
+
 impl SimReport {
     /// Conservation check: every arrival ended exactly once — admitted
     /// (possibly degraded), finally rejected, or abandoned after
@@ -553,6 +587,37 @@ mod tests {
         assert!((r.wait_p50_min - 4.0).abs() < 1e-12);
         assert!((r.wait_p95_min - 5.8).abs() < 1e-12);
         assert_eq!(r.brownout_active_min, 3.5);
+    }
+
+    #[test]
+    fn wait_summary_matches_the_full_sample_bit_for_bit() {
+        let mixed = [
+            0.0, 2.5, 0.0, 0.0, 1e-9, 7.0, 0.0, 3.25, 0.0, 2.5, 0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.0,
+            11.0, 0.0, 0.0, -0.0, 0.0,
+        ];
+        let cases: [&[f64]; 3] = [&[], &[0.0; 37], &mixed];
+        for waits in cases {
+            let mut c = MetricsCollector::new(1);
+            for &w in waits {
+                c.on_wait(w);
+            }
+            let r = c.finish(90.0);
+            let bits = |x: f64| x.to_bits();
+            assert_eq!(bits(r.mean_wait_min), bits(stats::sample_mean(waits)));
+            assert_eq!(bits(r.wait_p50_min), bits(stats::percentile(waits, 0.50)));
+            assert_eq!(bits(r.wait_p95_min), bits(stats::percentile(waits, 0.95)));
+            for q in [0.0, 0.05, 0.3, 0.77, 1.0] {
+                let mut nonzero: Vec<f64> =
+                    waits.iter().copied().filter(|w| w.to_bits() != 0).collect();
+                nonzero.sort_by(|a, b| a.total_cmp(b));
+                let zeros = (waits.len() - nonzero.len()) as u64;
+                assert_eq!(
+                    bits(wait_percentile(zeros, &nonzero, q)),
+                    bits(stats::percentile(waits, q)),
+                    "q = {q}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -57,19 +57,26 @@ pub fn ci95_half_width(xs: &[f64]) -> f64 {
 /// an empty sample. Non-finite entries are rejected by debug assertion.
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-    if xs.is_empty() {
-        return 0.0;
-    }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    sorted_percentile(sorted.len(), q, |i| sorted[i])
+}
+
+/// [`percentile`] of an `n`-value sample whose `i`-th value in ascending
+/// `total_cmp` order is `nth(i)`: the same interpolation, for callers
+/// that hold the sorted sample in a compressed form.
+pub fn sorted_percentile(n: usize, q: f64, nth: impl Fn(usize) -> f64) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        nth(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        nth(lo) * (1.0 - frac) + nth(hi) * frac
     }
 }
 
